@@ -30,18 +30,6 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return w / np.max(np.abs(w))
 
 
-def cardinal_values(nodes: np.ndarray, bary: np.ndarray, z: float) -> np.ndarray:
-    """All cardinal functions h_j evaluated at a single z."""
-    diff = z - nodes
-    hit = np.abs(diff) < NODE_TOL
-    if hit.any():
-        out = np.zeros_like(nodes)
-        out[np.argmax(hit)] = 1.0
-        return out
-    ratios = bary / diff
-    return ratios / ratios.sum()
-
-
 def cardinal_matrix(nodes: np.ndarray, bary: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Cardinal functions on a z grid; rows index grid points, columns nodes."""
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
@@ -58,15 +46,23 @@ def cardinal_matrix(nodes: np.ndarray, bary: np.ndarray, zs: np.ndarray) -> np.n
     return out
 
 
-def _sample(func, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function on a grid, vectorizing when it supports it."""
+def _sample(func, *args) -> np.ndarray:
+    """func evaluated pointwise on the broadcast of its arguments.
+
+    One array call when func accepts arrays and returns either the broadcast
+    shape or a scalar (a constant, which is broadcast); otherwise one scalar
+    call per point.
+    """
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    shape = args[0].shape
     try:
-        vals = np.asarray(func(ts), dtype=float)
-        if vals.shape == ts.shape:
-            return vals
+        vals = np.asarray(func(*args), dtype=float)
+        if vals.shape in (shape, ()):
+            return np.broadcast_to(vals, shape).copy()
     except Exception:
         pass
-    return np.array([float(func(float(t))) for t in ts])
+    points = zip(*(a.ravel().tolist() for a in args))
+    return np.array([float(func(*p)) for p in points], dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True)

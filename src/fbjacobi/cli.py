@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import eval_grid, linf_error, weighted_l2_error
+from .approximation import _sample, eval_grid, linf_error, weighted_l2_error
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams
 from .problems import case_i, case_ii, example1, regularity_index
@@ -148,7 +148,7 @@ def cmd_solve(args) -> int:
         return EXIT_NUMERICAL
     lines = ["t,u_num,u_exact,abs_error"]
     if problem.exact is not None:
-        u_ex = np.array([float(problem.exact(t)) for t in ts])
+        u_ex = _sample(problem.exact, ts)
         for t, un, ue in zip(ts, u_num, u_ex):
             lines.append(f"{_num(t)},{_num(un)},{_num(ue)},{_num(abs(un - ue))}")
     else:

@@ -11,11 +11,11 @@ itself has algebraic derivatives there for non-integer 1/(1-theta).
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .approximation import _sample
 from .special_functions import bessel_j, beta, log_gamma
 from .volterra_solver import ProblemDefinition
 
@@ -87,26 +87,6 @@ def _panel_rule(cfg: OracleConfig):
     return rule
 
 
-def _eval_u(u_w, arr: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(u_w(arr), dtype=float)
-        if vals.shape == arr.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(u_w(float(v))) for v in arr])
-
-
-def _eval_kernel(kernel, t: float, arr: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(kernel(t, arr), dtype=float)
-        if vals.shape in (arr.shape, ()):
-            return np.broadcast_to(vals, arr.shape)
-    except Exception:
-        pass
-    return np.array([float(kernel(t, float(v))) for v in arr])
-
-
 def _oracle_core(theta: float, w: float, kernel, u_w, cfg: OracleConfig) -> float:
     """Graded-panel value of the adjoint operator at t = 1 - w, with the
     integrand expressed through the distance to the terminal endpoint."""
@@ -117,7 +97,7 @@ def _oracle_core(theta: float, w: float, kernel, u_w, cfg: OracleConfig) -> floa
     one_minus_spow = -np.expm1(p * np.log(s))  # 1 - s^p, accurate near s = 1
     w_rho = w * one_minus_spow                 # 1 - rho(s)
     varrho = 1.0 - w_rho
-    vals = _eval_kernel(kernel, 1.0 - w, varrho) * _eval_u(u_w, w_rho)
+    vals = _sample(kernel, 1.0 - w, varrho) * _sample(u_w, w_rho)
     return w ** (1.0 - theta) / (1.0 - theta) * float(np.dot(sw, vals))
 
 
@@ -134,8 +114,7 @@ def oracle_kr(u, theta: float, kernel, t: float, cfg: OracleConfig = OracleConfi
         raise ValueError(f"t must lie in [0,1), got {t}")
 
     def u_w(w_rho):
-        arr = np.atleast_1d(np.asarray(w_rho, dtype=float))
-        return np.array([float(u(1.0 - v)) for v in arr])
+        return _sample(u, 1.0 - w_rho)
 
     coarse = _oracle_core(theta, 1.0 - t, kernel, u_w, cfg)
     if not verify:
@@ -190,8 +169,7 @@ def example1(theta: float, cfg: OracleConfig = OracleConfig()) -> ProblemDefinit
     Bessel function with the endpoint distance.
 
     The closed form is validated at construction against the quadrature
-    oracle; if it ever failed validation the oracle route would be used
-    instead, and a disagreement of both routes raises.
+    oracle; a mismatch above 1e-9 raises SourceValidationError.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
@@ -218,36 +196,18 @@ def example1(theta: float, cfg: OracleConfig = OracleConfig()) -> ProblemDefinit
     def source(t: float) -> float:
         return g_w(1.0 - t)
 
-    def u_scalar(t: float) -> float:
-        return float(u_w(1.0 - t))
-
-    probes = (0.0, 0.25, 0.5, 0.75, 0.95)
     mismatch = max(
-        abs(g_w(1.0 - t) - (u_scalar(t) - oracle_kr(u_scalar, theta, _unit_kernel, t, cfg)))
-        for t in probes
+        abs(g_w(1.0 - t) - (exact(t) - oracle_kr(exact, theta, _unit_kernel, t, cfg)))
+        for t in (0.0, 0.25, 0.5, 0.75, 0.95)
     )
-    if mismatch <= 1e-9:
-        return ProblemDefinition(
-            theta=theta, kernel=_unit_kernel, source=source, exact=exact,
-            source_w=g_w, exact_w=u_w, label="example1",
-        )
-    warnings.warn(
-        f"closed-form source off by {mismatch:.3e}; falling back to the "
-        "oracle-backed source",
-        RuntimeWarning,
-    )
-    memo = _MemoizedOracleSource(theta, u_w, cfg)
-    try:
-        for t in probes:
-            memo(t)  # runs the panel-doubling check at every probe
-    except OracleAccuracyError as exc:
+    if not mismatch <= 1e-9:  # NaN fails too
         raise SourceValidationError(
-            f"both source routes are unreliable for theta={theta}: closed form "
-            f"off by {mismatch:.3e} and the oracle route failed its own check"
-        ) from exc
+            f"closed-form source for theta={theta} is off by {mismatch:.3e} "
+            "against the quadrature oracle"
+        )
     return ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source=memo, exact=exact,
-        source_w=memo.value_w, exact_w=u_w, label="example1",
+        theta=theta, kernel=_unit_kernel, source=source, exact=exact,
+        source_w=g_w, exact_w=u_w, label="example1",
     )
 
 

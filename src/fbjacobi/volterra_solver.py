@@ -5,7 +5,9 @@ The kernel singularity is absorbed into a Jacobi weight by mapping the
 integration variable through the same backward transformation that generates
 the basis, so the discrete operator is a plain Gauss sum. Assembly works with
 the z-space nodes and the exact distances 1 - t, which stay meaningful even
-where t itself rounds to 1.
+where t itself rounds to 1. The kernel is sampled once on the whole grid of
+(node, quadrature point) pairs, and the dense system is solved and its 1-norm
+condition number computed with LAPACK through numpy.
 """
 
 import math
@@ -15,17 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximation import Interpolant, barycentric_weights, cardinal_matrix
+from .approximation import Interpolant, _sample, barycentric_weights, cardinal_matrix
 from .backward_basis import BackwardSpec, map_inverse
 from .jacobi_core import JacobiParams, gauss_rule
 
 
 class SingularMatrixError(ArithmeticError):
-    """Exact zero pivot during LU elimination."""
-
-    def __init__(self, pivot: int):
-        super().__init__(f"singular collocation matrix: zero pivot at index {pivot}")
-        self.pivot = pivot
+    """LAPACK met an exact zero pivot while factoring the collocation matrix."""
 
 
 class SourceEvaluationError(RuntimeError):
@@ -89,18 +87,21 @@ class CollocationSolution:
         return self.interpolant(t)
 
 
-def singular_ratio(rho: float, eta: float) -> float:
+def singular_ratio(rho: float, eta):
     """(1 - (1-eta)^{1/rho}) / eta, the bounded factor left over after the
-    kernel singularity is pulled into the quadrature weight.
+    kernel singularity is pulled into the quadrature weight; eta may be an array.
 
     Three-term Taylor expansion below eta = 1e-6 (direct evaluation loses all
     significance there), spliced to expm1/log1p evaluation above; the value
     tends to 1/rho as eta -> 0.
     """
     s = 1.0 / rho
-    if eta < 1e-6:
-        return s * (1.0 - 0.5 * (s - 1.0) * eta + (s - 1.0) * (s - 2.0) / 6.0 * eta * eta)
-    return -math.expm1(math.log1p(-eta) * s) / eta
+    eta = np.asarray(eta, dtype=float)
+    small = eta < 1e-6
+    safe = np.where(small, 0.5, eta)  # keeps the unused direct branch finite
+    direct = -np.expm1(np.log1p(-safe) * s) / safe
+    taylor = s * (1.0 - 0.5 * (s - 1.0) * eta + (s - 1.0) * (s - 2.0) / 6.0 * eta * eta)
+    return np.where(small, taylor, direct)[()]
 
 
 def kernel_transform(problem: ProblemDefinition, spec: BackwardSpec,
@@ -119,20 +120,21 @@ def kernel_transform(problem: ProblemDefinition, spec: BackwardSpec,
 
 
 class _Assembly:
-    """Per (problem, spec, N) cache: collocation nodes, quadrature rule,
-    transformed kernel factors, and barycentric weights."""
+    """Per (problem, spec, N) cache: collocation nodes, barycentric weights,
+    the quadrature rule, and on the grid of rows i (nodes t_i) by columns k
+    (quadrature points rho_i(eta_k)) the points, their z images and the
+    transformed kernel values."""
 
     def __init__(self, problem: ProblemDefinition, spec: BackwardSpec, n: int,
                  quad_size: int | None = None):
         self.problem = problem
-        self.spec = spec
         self.n = n
         rho, theta = spec.rho, problem.theta
 
         rule = gauss_rule(spec.params, n + 1)
         self.nodes_z = rule.nodes
-        self.log_w = np.log1p(-rule.nodes) / rho     # log(1 - t_i), exact route
-        self.w_nodes = np.exp(self.log_w)            # 1 - t_i, always > 0 here
+        log_w = np.log1p(-rule.nodes) / rho          # log(1 - t_i), exact route
+        self.w_nodes = np.exp(log_w)                 # 1 - t_i, always > 0 here
         if not np.all(self.w_nodes > 0.0):
             raise ValueError("collocation node reached the terminal endpoint")
         self.nodes_t = map_inverse(spec, rule.nodes)
@@ -140,27 +142,13 @@ class _Assembly:
 
         m = (quad_size if quad_size is not None else n + 1)
         qrule = gauss_rule(JacobiParams(1.0 / rho - 1.0, -theta), m)
-        self.eta = qrule.nodes
         self.chi = qrule.weights
-        self.log_q = np.log1p(-qrule.nodes) / rho    # log(1 - s(eta_k))
-        self.q = np.exp(self.log_q)                  # 1 - s(eta_k), in (0,1]
-        self.mid = np.array(
-            [singular_ratio(rho, e) ** (-theta) for e in qrule.nodes]
-        )
-
-    def kbar_row(self, i: int) -> np.ndarray:
-        """Transformed kernel values at node i across all quadrature points."""
-        w_i, t_i = self.w_nodes[i], self.nodes_t[i]
-        varrho = 1.0 - w_i * self.q
-        kv = np.array([float(self.problem.kernel(t_i, p)) for p in varrho])
-        return w_i ** (1.0 - self.problem.theta) / self.spec.rho * self.mid * kv
-
-    def quad_z_row(self, i: int) -> np.ndarray:
-        """z images of the transformed quadrature points rho_i(eta_k)."""
-        return -np.expm1(self.spec.rho * (self.log_w[i] + self.log_q))
-
-    def quad_points(self, i: int) -> np.ndarray:
-        return 1.0 - self.w_nodes[i] * self.q
+        log_q = np.log1p(-qrule.nodes) / rho         # log(1 - s(eta_k))
+        self.quad_t = 1.0 - self.w_nodes[:, None] * np.exp(log_q)
+        self.quad_z = -np.expm1(rho * (log_w[:, None] + log_q))
+        kernel = _sample(problem.kernel, self.nodes_t[:, None], self.quad_t)
+        self.kbar = ((self.w_nodes ** (1.0 - theta) / rho)[:, None]
+                     * singular_ratio(rho, qrule.nodes) ** (-theta) * kernel)
 
 
 def discrete_operator(problem: ProblemDefinition, spec: BackwardSpec, n: int,
@@ -168,9 +156,7 @@ def discrete_operator(problem: ProblemDefinition, spec: BackwardSpec, n: int,
     """Gauss approximation of the adjoint integral operator applied to phi,
     evaluated at collocation node i of the degree-N node set."""
     ctx = _Assembly(problem, spec, n, quad_size=quad_size)
-    pts = ctx.quad_points(i)
-    phiv = np.array([float(phi(p)) for p in pts])
-    return float(np.dot(ctx.chi, ctx.kbar_row(i) * phiv))
+    return float(np.dot(ctx.chi, ctx.kbar[i] * _sample(phi, ctx.quad_t[i])))
 
 
 def assemble(problem: ProblemDefinition, spec: BackwardSpec, n: int):
@@ -185,8 +171,8 @@ def _assemble_from(ctx: _Assembly):
     mat = np.eye(n + 1)
     rhs = np.empty(n + 1)
     for i in range(n + 1):
-        h = cardinal_matrix(ctx.nodes_z, ctx.bary, ctx.quad_z_row(i))
-        mat[i, :] -= (ctx.chi * ctx.kbar_row(i)) @ h
+        h = cardinal_matrix(ctx.nodes_z, ctx.bary, ctx.quad_z[i])
+        mat[i, :] -= (ctx.chi * ctx.kbar[i]) @ h
         try:
             rhs[i] = ctx.problem.source_at(ctx.nodes_t[i], ctx.w_nodes[i])
         except Exception as exc:
@@ -196,59 +182,26 @@ def _assemble_from(ctx: _Assembly):
     return mat, rhs
 
 
-def lu_factor(a: np.ndarray):
-    """In-place LU with row partial pivoting; returns (lu, pivots)."""
-    lu = np.array(a, dtype=float)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0.0:
-            raise SingularMatrixError(k)
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            piv[[k, p]] = piv[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
-
-
-def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=float)[piv].copy()
-    for k in range(1, n):
-        x[k] -= np.dot(lu[k, :k], x[:k])
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - np.dot(lu[k, k + 1:], x[k + 1:])) / lu[k, k]
-    return x
-
-
-def condition_1norm(mat: np.ndarray, lu: np.ndarray, piv: np.ndarray) -> float:
-    """1-norm condition number, with the inverse norm taken column by column
-    through the existing LU factors (systems here are small and dense)."""
-    n = mat.shape[0]
-    inv_norm = 0.0
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        inv_norm = max(inv_norm, float(np.abs(lu_solve(lu, piv, e)).sum()))
-        e[j] = 0.0
-    return float(np.abs(mat).sum(axis=0).max()) * inv_norm
-
-
 def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> CollocationSolution:
-    """Solve the fully discrete collocation system by dense LU with partial
-    pivoting and wrap the nodal values in an evaluable interpolant."""
+    """Solve the fully discrete collocation system with LAPACK (LU with
+    partial pivoting) and wrap the nodal values in an evaluable interpolant.
+
+    Raises SingularMatrixError on an exact zero pivot. The diagnostics carry
+    the 1-norm condition number; a value above 1e12, or NaN, sets
+    `near_singular` and issues a RuntimeWarning.
+    """
     t0 = time.perf_counter()
     ctx = _Assembly(problem, spec, n)
     mat, rhs = _assemble_from(ctx)
     t1 = time.perf_counter()
-    lu, piv = lu_factor(mat)
-    values = lu_solve(lu, piv, rhs)
+    try:
+        values = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("singular collocation matrix: exact zero pivot") from exc
     t2 = time.perf_counter()
 
-    cond = condition_1norm(mat, lu, piv)
-    near_singular = cond > 1e12
+    cond = float(np.linalg.cond(mat, 1))
+    near_singular = not (cond <= 1e12)
     if near_singular:
         warnings.warn(
             f"collocation system is nearly singular (cond ~ {cond:.3e})",

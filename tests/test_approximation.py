@@ -5,6 +5,7 @@ import pytest
 
 from fbjacobi.approximation import (
     Expansion,
+    _sample,
     eval_expansion,
     eval_grid,
     eval_interpolant,
@@ -164,6 +165,45 @@ class TestInterpolate:
         coef, *_ = np.linalg.lstsq(design, f(tz), rcond=None)
         ls_err = float(np.max(np.abs(design @ coef - f(tz))))
         assert interp_err <= 10.0 * ls_err
+
+
+T_GRID = np.linspace(0.0, 0.9, 5)
+P_GRID = 1.0 - np.outer(1.0 - T_GRID, np.linspace(0.1, 1.0, 4))
+
+
+@pytest.mark.parametrize(
+    "func, args, vectorises",
+    [
+        (np.exp, (T_GRID,), True),
+        (math.exp, (T_GRID,), False),
+        (lambda t, p: 1.0, (T_GRID[:, None], P_GRID), True),
+        (lambda t, p: np.exp(t) * p, (T_GRID[:, None], P_GRID), True),
+        (lambda t, p: math.exp(t) * p, (T_GRID[:, None], P_GRID), False),
+        # numpy < 2.4 converts a size-1 array to a scalar, so the array
+        # call of a scalar-only function may or may not succeed there
+        (math.exp, (np.array([0.3]),), None),
+        (lambda t, p: np.exp(t) * p, (np.array([[0.3]]), np.array([[0.7]])), True),
+    ],
+    ids=["array", "scalar-only", "constant", "kernel", "scalar-kernel",
+         "size1", "size1-kernel"],
+)
+def test_sample_matches_pointwise_loop(func, args, vectorises):
+    calls = []
+
+    def counted(*xs):
+        calls.append(np.ndim(xs[-1]))
+        return func(*xs)
+
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    ref = np.array([func(*map(float, xs)) for xs in zip(
+        *(np.broadcast_to(a, shape).ravel() for a in args))]).reshape(shape)
+    got = _sample(counted, *args)
+    assert got.shape == shape
+    assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
+    # one array call, followed by one scalar call per point if it failed
+    assert calls[0] > 0
+    if vectorises is not None:
+        assert len(calls) == (1 if vectorises else 1 + ref.size)
 
 
 class TestErrorNorms:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import fbjacobi.problems
 from fbjacobi.problems import (
     OracleConfig,
+    SourceValidationError,
     _MemoizedOracleSource,
     case_i,
     case_ii,
@@ -84,6 +86,13 @@ class TestExample1:
             for t in (0.0, 0.25, 0.5, 0.75, 0.95):
                 ref = u(t) - oracle_kr(u, theta, UNIT_K, t)
                 assert abs(prob.source(t) - ref) <= 1e-9
+
+    def test_source_mismatch_raises(self, monkeypatch):
+        bessel_j = fbjacobi.problems.bessel_j
+        monkeypatch.setattr(fbjacobi.problems, "bessel_j",
+                            lambda nu, x: bessel_j(nu, x) * (1.0 + 1e-6))
+        with pytest.raises(SourceValidationError):
+            example1(0.5)
 
     def test_exact_solution_values(self):
         prob = example1(0.5)

@@ -14,11 +14,8 @@ from fbjacobi.volterra_solver import (
     SingularMatrixError,
     SourceEvaluationError,
     assemble,
-    condition_1norm,
     discrete_operator,
     kernel_transform,
-    lu_factor,
-    lu_solve,
     singular_ratio,
     solve,
 )
@@ -67,6 +64,10 @@ class TestKernelTransform:
             lo = singular_ratio(rho, 1e-6 * (1 - 1e-10))
             hi = singular_ratio(rho, 1e-6 * (1 + 1e-10))
             assert abs(lo - hi) <= 1e-12 * abs(hi)
+            # an array takes the same branch per entry as the scalar calls
+            etas = [0.0, 1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10), 0.5, 0.99]
+            assert np.array_equal(singular_ratio(rho, np.array(etas)),
+                                  [singular_ratio(rho, e) for e in etas])
 
     def test_unit_rho_middle_factor_is_one(self):
         prob = unit_problem(0.5)
@@ -153,6 +154,22 @@ class TestDiscreteOperator:
                 b = discrete_operator(prob, spec, n, math.exp, i, quad_size=2 * n + 1)
                 assert abs(a - b) < 1e-8
 
+    def test_matches_kernel_transform_reference(self):
+        # the kernel sampled on the whole (node, quadrature point) grid gives
+        # the same Gauss sums as the scalar transform, for a kernel in t and p;
+        # the reference forms 1 - t_i from the rounded t_i, hence the 1e-12
+        prob = ProblemDefinition(theta=0.4, kernel=lambda t, p: np.exp(t) * p,
+                                 source=lambda t: 0.0)
+        spec = spec_of(-0.25, -0.25, 0.5)
+        n = 8
+        rule = gauss_rule(JacobiParams(1.0 / 0.5 - 1.0, -0.4), n + 1)
+        nodes = fb_nodes(spec, n)
+        for i in (0, 4, 8):
+            ref = sum(w * kernel_transform(prob, spec, float(nodes[i]), float(e))
+                      for e, w in zip(rule.nodes, rule.weights))
+            got = discrete_operator(prob, spec, n, lambda p: 1.0, i)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
 
 class TestAssemble:
     def test_zero_kernel_gives_identity(self):
@@ -181,29 +198,6 @@ class TestAssemble:
         prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source=bad_source)
         with pytest.raises(SourceEvaluationError, match="node 0"):
             assemble(prob, spec_of(-0.25, -0.25, 0.5), 4)
-
-
-class TestLU:
-    def test_solves_random_system(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((12, 12))
-        b = rng.standard_normal(12)
-        lu, piv = lu_factor(a)
-        x = lu_solve(lu, piv, b)
-        assert np.max(np.abs(a @ x - b)) <= 1e-11
-
-    def test_singular_matrix_reports_pivot(self):
-        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 1.5]])
-        with pytest.raises(SingularMatrixError) as err:
-            lu_factor(a)
-        assert err.value.pivot == 1
-
-    def test_condition_matches_numpy(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((9, 9)) + 3.0 * np.eye(9)
-        lu, piv = lu_factor(a)
-        ref = np.linalg.cond(a, 1)
-        assert abs(condition_1norm(a, lu, piv) - ref) <= 1e-8 * ref
 
 
 class TestSolve:
@@ -288,6 +282,58 @@ class TestSolve:
         assert d.condition > 1.0 and math.isfinite(d.condition)
         assert d.assembly_seconds >= 0.0 and d.solve_seconds >= 0.0
         assert not d.near_singular
+
+    def test_singular_matrix_raises(self, monkeypatch):
+        def zero_pivot(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", zero_pivot)
+        with pytest.raises(SingularMatrixError):
+            solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), 4)
+
+    def test_condition_matches_inverse_norms(self):
+        prob = case_i(0.5, math.sqrt(2.0), math.sqrt(3.0))
+        spec = spec_of(-0.5, -0.5, 0.5)
+        n = 12
+        mat, _ = assemble(prob, spec, n)
+        with mpmath.workdps(40):
+            inv = mpmath.inverse(mpmath.matrix(mat.tolist()))
+            inv_norm = max(sum(abs(inv[r, c]) for r in range(n + 1)) for c in range(n + 1))
+        ref = float(np.abs(mat).sum(axis=0).max() * inv_norm)
+        cond = solve(prob, spec, n).diagnostics.condition
+        assert abs(cond - ref) <= 1e-10 * ref
+
+    def test_nan_condition_is_near_singular(self):
+        # the kernel passes the construction probes but is NaN at some
+        # quadrature points, so the matrix and its condition number are NaN
+        prob = ProblemDefinition(theta=0.5, source=lambda t: 1.0,
+                                 kernel=lambda t, p: math.nan if 0.9 < p < 0.95 else 1.0)
+        with pytest.warns(RuntimeWarning, match="nearly singular"):
+            sol = solve(prob, spec_of(-0.25, -0.25, 0.5), 16)
+        assert math.isnan(sol.diagnostics.condition)
+        assert sol.diagnostics.near_singular is True
+
+    def test_array_kernel_matches_scalar_kernel(self):
+        calls = []
+
+        def array_kernel(t, p):
+            calls.append(np.shape(p))
+            return np.exp(t) * p
+
+        def scalar_kernel(t, p):
+            return math.exp(t) * p
+
+        spec = spec_of(-0.25, -0.25, 0.5)
+        n = 16
+        mats = [
+            assemble(ProblemDefinition(theta=0.5, kernel=k, source=math.cos), spec, n)[0]
+            for k in (array_kernel, scalar_kernel)
+        ]
+        assert np.max(np.abs(mats[0] - mats[1])) <= 1e-14 * np.max(np.abs(mats[1]))
+        prob = ProblemDefinition(theta=0.5, kernel=array_kernel, source=math.cos)
+        calls.clear()  # drop the construction-time probes
+        solve(prob, spec, n)
+        assert calls == [(n + 1, n + 1)]
 
     def test_solution_matches_oracle_assembled_system(self):
         # independent route: build the same collocation system but integrate
