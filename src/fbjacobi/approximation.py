@@ -173,10 +173,10 @@ def interpolate(spec: BackwardSpec, n: int, f) -> Interpolant:
 
 
 def eval_interpolant(ip: Interpolant, t):
-    """Interpolant value at t; nodal inputs reproduce the stored values exactly."""
+    """Interpolant value at t (a scalar, or an array of t's shape); nodal
+    inputs reproduce the stored values exactly."""
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
+    flat = arr.ravel()
     zs = map_forward(ip.spec, flat)
     out = cardinal_matrix(ip.nodes_z, ip.bary_weights, zs) @ ip.values
     # The z image of a stored node can drift by a few ulps through the t
@@ -186,7 +186,7 @@ def eval_interpolant(ip: Interpolant, t):
     for j, tj in enumerate(ip.nodes_t):
         if tj != 1.0:
             out[flat == tj] = ip.values[j]
-    return float(out[0]) if scalar else out
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def weighted_l2_error(spec: BackwardSpec, f, g, quad_size: int) -> float:

@@ -9,8 +9,8 @@ resolve terminal singularities of u, toward s = 0 because the substitution
 itself has algebraic derivatives there for non-integer 1/(1-theta).
 """
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,17 +51,9 @@ class OracleConfig:
         return OracleConfig(2 * self.panels, self.points_per_panel, self.grading_ratio)
 
 
-_PANEL_CACHE: dict = {}
-_PANEL_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def _panel_rule(cfg: OracleConfig):
     """Points and weights of the graded composite rule on (0,1)."""
-    key = (cfg.panels, cfg.points_per_panel, cfg.grading_ratio)
-    with _PANEL_LOCK:
-        cached = _PANEL_CACHE.get(key)
-    if cached is not None:
-        return cached
     r = cfg.grading_ratio
     edges = [0.0]
     for j in range(cfg.panels - 1, 0, -1):
@@ -82,85 +74,79 @@ def _panel_rule(cfg: OracleConfig):
     rule = (np.concatenate(pts), np.concatenate(wts))
     rule[0].setflags(write=False)
     rule[1].setflags(write=False)
-    with _PANEL_LOCK:
-        _PANEL_CACHE[key] = rule
     return rule
 
 
-def _oracle_core(theta: float, w: float, kernel, u_w, cfg: OracleConfig) -> float:
-    """Graded-panel value of the adjoint operator at t = 1 - w, with the
-    integrand expressed through the distance to the terminal endpoint."""
-    if w == 0.0:
-        return 0.0
+def _oracle_core(theta: float, w: np.ndarray, kernel, u_w, cfg: OracleConfig) -> np.ndarray:
+    """Graded-panel values of the adjoint operator at t = 1 - w for a 1-D
+    array of endpoint distances w, with the integrand expressed through the
+    distance to the terminal endpoint. Rows with w = 0 are 0 and never sampled."""
+    out = np.zeros(len(w))
+    live = w != 0.0
+    w = w[live]
     p = 1.0 / (1.0 - theta)
     s, sw = _panel_rule(cfg)
     one_minus_spow = -np.expm1(p * np.log(s))  # 1 - s^p, accurate near s = 1
-    w_rho = w * one_minus_spow                 # 1 - rho(s)
+    w_rho = w[:, None] * one_minus_spow        # 1 - rho(s), one row per w
     varrho = 1.0 - w_rho
-    vals = _sample(kernel, 1.0 - w, varrho) * _sample(u_w, w_rho)
-    return w ** (1.0 - theta) / (1.0 - theta) * float(np.dot(sw, vals))
+    vals = _sample(kernel, (1.0 - w)[:, None], varrho) * _sample(u_w, w_rho)
+    # One scalar power and one dot per row, so each value is the same whether
+    # its w comes alone or in a batch.
+    out[live] = [wi ** (1.0 - theta) / (1.0 - theta) * float(np.dot(sw, row))
+                 for wi, row in zip(w.tolist(), vals)]
+    return out
 
 
-def oracle_kr(u, theta: float, kernel, t: float, cfg: OracleConfig = OracleConfig(),
-              verify: bool = True) -> float:
-    """High-accuracy value of int_t^1 (rho-t)^{-theta} K(t,rho) u(rho) drho.
-
-    With `verify` the computation is repeated at doubled panel count and the
-    finer value returned; a shift above 1e-9 raises OracleAccuracyError.
-    """
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0,1), got {theta}")
-    if not (0.0 <= t < 1.0):
-        raise ValueError(f"t must lie in [0,1), got {t}")
-
-    def u_w(w_rho):
-        return _sample(u, 1.0 - w_rho)
-
-    coarse = _oracle_core(theta, 1.0 - t, kernel, u_w, cfg)
-    if not verify:
-        return coarse
-    fine = _oracle_core(theta, 1.0 - t, kernel, u_w, cfg.doubled())
-    if abs(fine - coarse) > 1e-9:
+def _verified_oracle(theta: float, w: np.ndarray, kernel, u_w, cfg: OracleConfig) -> np.ndarray:
+    """_oracle_core on the doubled panel layout, checked against the coarse
+    layout; a shift above 1e-9, or NaN, raises OracleAccuracyError."""
+    coarse = _oracle_core(theta, w, kernel, u_w, cfg)
+    fine = _oracle_core(theta, w, kernel, u_w, cfg.doubled())
+    shift = np.abs(fine - coarse)
+    if not np.all(shift <= 1e-9):  # NaN fails too
+        i = int(np.argmin(shift <= 1e-9))
         raise OracleAccuracyError(
-            f"oracle unstable at t={t}: doubling panels moved value by "
-            f"{abs(fine - coarse):.3e}"
+            f"oracle unstable at 1-t={w[i]:.17g}: doubling panels moved value by "
+            f"{shift[i]:.3e}"
         )
     return fine
 
 
+def oracle_kr(u, theta: float, kernel, t, cfg: OracleConfig = OracleConfig(),
+              verify: bool = True):
+    """High-accuracy value of int_t^1 (rho-t)^{-theta} K(t,rho) u(rho) drho.
+
+    t may be a scalar (a float is returned) or an array (an array of its
+    shape is returned); u and the kernel are sampled once per panel layout on
+    the whole grid when they accept arrays, else point by point. With
+    `verify` the computation is repeated at doubled panel count and the finer
+    value returned; a shift above 1e-9, or NaN, raises OracleAccuracyError.
+    """
+    if not (0.0 < theta < 1.0):
+        raise ValueError(f"theta must lie in (0,1), got {theta}")
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t < 1.0)):
+        raise ValueError(f"t must lie in [0,1), got {t}")
+
+    def u_w(w_rho):
+        return u(1.0 - w_rho)
+
+    core = _verified_oracle if verify else _oracle_core
+    vals = core(theta, 1.0 - t.ravel(), kernel, u_w, cfg)
+    return float(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
+
+
 def _unit_kernel(t, varrho):
-    return np.ones_like(np.asarray(varrho, dtype=float)) if np.ndim(varrho) else 1.0
+    return 1.0
 
 
-class _MemoizedOracleSource:
-    """g(t) = u(t) - (K_R u)(t) evaluated through the oracle, memoized per
-    endpoint distance so assembly does not re-integrate at repeated nodes."""
-
-    def __init__(self, theta: float, u_w, cfg: OracleConfig):
-        self.theta = theta
-        self.u_w = u_w
-        self.cfg = cfg
-        self._cache: dict = {}
-        self._lock = threading.Lock()
-
-    def value_w(self, w: float) -> float:
-        with self._lock:
-            if w in self._cache:
-                return self._cache[w]
-        coarse = _oracle_core(self.theta, w, _unit_kernel, self.u_w, self.cfg)
-        fine = _oracle_core(self.theta, w, _unit_kernel, self.u_w, self.cfg.doubled())
-        if abs(fine - coarse) > 1e-9:
-            raise OracleAccuracyError(
-                f"oracle-backed source unstable at 1-t={w}: panel doubling "
-                f"moved value by {abs(fine - coarse):.3e}"
-            )
-        val = float(self.u_w(w)) - fine
-        with self._lock:
-            self._cache[w] = val
-        return val
-
-    def __call__(self, t: float) -> float:
-        return self.value_w(1.0 - t)
+def _source_mismatch(prob: ProblemDefinition, cfg: OracleConfig = OracleConfig()) -> float:
+    """Max |g - (u - K_R u)| over five probe points, with g read through
+    `source_at` and K_R u from one oracle call; NaN when any value is NaN."""
+    t = np.array([0.0, 0.25, 0.5, 0.75, 0.95])
+    g = np.array([prob.source_at(x, 1.0 - x) for x in t])
+    ref = prob.exact(t) - oracle_kr(prob.exact, prob.theta, prob.kernel, t, cfg)
+    return float(np.max(np.abs(g - ref)))
 
 
 def example1(theta: float, cfg: OracleConfig = OracleConfig()) -> ProblemDefinition:
@@ -169,7 +155,8 @@ def example1(theta: float, cfg: OracleConfig = OracleConfig()) -> ProblemDefinit
     Bessel function with the endpoint distance.
 
     The closed form is validated at construction against the quadrature
-    oracle; a mismatch above 1e-9 raises SourceValidationError.
+    oracle (one doubling-checked call over five probe points); a mismatch
+    above 1e-9, or NaN, raises SourceValidationError.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
@@ -196,19 +183,17 @@ def example1(theta: float, cfg: OracleConfig = OracleConfig()) -> ProblemDefinit
     def source(t: float) -> float:
         return g_w(1.0 - t)
 
-    mismatch = max(
-        abs(g_w(1.0 - t) - (exact(t) - oracle_kr(exact, theta, _unit_kernel, t, cfg)))
-        for t in (0.0, 0.25, 0.5, 0.75, 0.95)
+    prob = ProblemDefinition(
+        theta=theta, kernel=_unit_kernel, source=source, exact=exact,
+        source_w=g_w, exact_w=u_w, label="example1",
     )
+    mismatch = _source_mismatch(prob, cfg)
     if not mismatch <= 1e-9:  # NaN fails too
         raise SourceValidationError(
             f"closed-form source for theta={theta} is off by {mismatch:.3e} "
             "against the quadrature oracle"
         )
-    return ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source=source, exact=exact,
-        source_w=g_w, exact_w=u_w, label="example1",
-    )
+    return prob
 
 
 def case_i(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
@@ -247,7 +232,8 @@ def case_i(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
 def case_ii(theta: float, gamma1: float, gamma2: float,
             cfg: OracleConfig = OracleConfig()) -> ProblemDefinition:
     """Terminal-singular solution sin((1-t)^{g1} + (1-t)^{g2}); no closed-form
-    source, so g comes from the oracle with memoized, doubling-checked values."""
+    source, so g = u - K_R u comes from the oracle, doubling-checked on every
+    call (OracleAccuracyError on a shift above 1e-9 or NaN)."""
     if not (gamma1 > 0.0 and gamma2 > 0.0):
         raise ValueError("both exponents must be positive")
 
@@ -259,10 +245,18 @@ def case_ii(theta: float, gamma1: float, gamma2: float,
     def exact(t):
         return u_w(1.0 - np.asarray(t, dtype=float))
 
-    memo = _MemoizedOracleSource(theta, u_w, cfg)
+    def g_w(w):
+        w = np.asarray(w, dtype=float)
+        kr = _verified_oracle(theta, w.ravel(), _unit_kernel, u_w, cfg).reshape(w.shape)
+        out = u_w(w) - kr
+        return out[()] if out.ndim == 0 else out
+
+    def source(t):
+        return g_w(1.0 - np.asarray(t, dtype=float))
+
     return ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source=memo, exact=exact,
-        source_w=memo.value_w, exact_w=u_w, label="case2",
+        theta=theta, kernel=_unit_kernel, source=source, exact=exact,
+        source_w=g_w, exact_w=u_w, label="case2",
     )
 
 

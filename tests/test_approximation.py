@@ -148,6 +148,16 @@ class TestInterpolate:
         ref = ip.values[0] * (zm - z1) / (z0 - z1) + ip.values[1] * (zm - z0) / (z1 - z0)
         assert abs(eval_interpolant(ip, t_mid) - ref) <= 1e-15
 
+    @pytest.mark.parametrize("shape", [(2, 9), (4, 5)])
+    def test_array_shape_preserved(self, shape):
+        s = spec_of(-0.25, -0.25, 0.5)
+        ip = interpolate(s, 9, lambda t: np.cos(4.0 * np.asarray(t)))
+        ts = np.linspace(0.0, 1.0, math.prod(shape))
+        ts[3] = ip.nodes_t[2]  # one exact node hit in the middle of the grid
+        got = eval_interpolant(ip, ts.reshape(shape))
+        assert got.shape == shape
+        assert np.array_equal(got, eval_interpolant(ip, ts).reshape(shape))
+
     def test_singular_function_error_near_best(self):
         # interpolation of (1-t)^sqrt(2) lands within a factor of 10 of a
         # dense least-squares competitor from the same approximation space

@@ -6,8 +6,8 @@ import pytest
 import fbjacobi.problems
 from fbjacobi.problems import (
     OracleConfig,
+    OracleAccuracyError,
     SourceValidationError,
-    _MemoizedOracleSource,
     case_i,
     case_ii,
     example1,
@@ -41,13 +41,19 @@ class TestOracleKr:
 
     def test_beta_identity(self):
         rng = np.random.default_rng(9)
+        ts = np.array([0.0, 0.3, 0.6, 0.9])
         for _ in range(10):
             theta = rng.uniform(0.1, 0.9)
             gamma = rng.uniform(0.2, 3.5)
             t = rng.uniform(0.0, 0.9)
-            got = oracle_kr(lambda p, g=gamma: (1.0 - p) ** g, theta, UNIT_K, t)
+            u = lambda p, g=gamma: (1.0 - p) ** g
+            got = oracle_kr(u, theta, UNIT_K, t)
             ref = beta(1.0 - theta, gamma + 1.0) * (1.0 - t) ** (1.0 - theta + gamma)
             assert abs(got - ref) <= 1e-11
+            # one array call over all t gives exactly the scalar results
+            grid = np.append(ts, t)
+            scalar = np.array([oracle_kr(u, theta, UNIT_K, x) for x in grid])
+            assert np.array_equal(oracle_kr(u, theta, UNIT_K, grid), scalar)
 
     def test_panel_doubling_stability(self):
         cfg = OracleConfig()
@@ -62,6 +68,11 @@ class TestOracleKr:
                     a = oracle_kr(u, theta, UNIT_K, t, cfg, verify=False)
                     b = oracle_kr(u, theta, UNIT_K, t, cfg.doubled(), verify=False)
                     assert abs(a - b) <= 1e-11
+
+    def test_nan_fails_doubling_check(self):
+        u = lambda p: math.nan if 0.3 < p < 0.31 else 1.0
+        with pytest.raises(OracleAccuracyError):
+            oracle_kr(u, 0.5, UNIT_K, 0.0)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -151,14 +162,11 @@ class TestCaseII:
         p2 = case_ii(0.5, SQRT2, SQRT3, OracleConfig(panels=30, points_per_panel=20))
         assert abs(float(p1.source(0.25)) - float(p2.source(0.25))) <= 1e-11
 
-    def test_memoization_returns_identical_values(self):
+    def test_source_is_deterministic(self):
         prob = case_ii(0.5, SQRT2, SQRT3)
         first = prob.source(0.37)
         second = prob.source(0.37)
         assert first == second
-        memo = prob.source
-        assert isinstance(memo, _MemoizedOracleSource)
-        assert round(1.0 - 0.37, 12) != 0 and len(memo._cache) >= 1
 
     def test_source_consistency_probes(self):
         prob = case_ii(0.5, SQRT2, SQRT3)

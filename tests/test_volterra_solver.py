@@ -355,10 +355,7 @@ class TestSolve:
             values = np.zeros(n + 1)
             values[j] = 1.0
             card = Interpolant(spec, rule.nodes, nodes_t, values, bary)
-            for i in range(n + 1):
-                mat[i, j] -= oracle_kr(
-                    lambda p: float(card(p)), theta, prob.kernel, float(nodes_t[i])
-                )
+            mat[:, j] -= oracle_kr(card, theta, prob.kernel, nodes_t)
         rhs = np.array([prob.source_at(t, 1.0 - t) for t in nodes_t])
         ref_values = np.linalg.solve(mat, rhs)
         assert np.max(np.abs(sol.values - ref_values)) <= 1e-9
