@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward_basis import BackwardSpec, map_forward, map_inverse
-from .jacobi_core import JacobiParams, _recurrence_coeffs, gauss_rule, jacobi_norm
+from .jacobi_core import JacobiParams, gauss_rule, jacobi_norm, jacobi_table
 
 # Below this distance in z a sample point is treated as lying on a node,
 # sidestepping the 0/0 in the barycentric quotient.
@@ -20,13 +20,14 @@ NODE_TOL = 1e-15
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     """Second-form barycentric weights for the given z nodes, normalized to
-    unit maximum magnitude (the form is scale invariant)."""
-    n = len(nodes)
-    w = np.ones(n)
-    for j in range(n):
-        diff = nodes[j] - nodes
-        diff[j] = 1.0
-        w[j] = 1.0 / np.prod(diff)
+    unit maximum magnitude (the form is scale invariant).
+
+    The node gaps are scaled by 4 so that their products stay finite up to
+    N of about 1200; a power of two changes no rounding.
+    """
+    gaps = 4.0 * (nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    w = 1.0 / np.prod(gaps, axis=1)
     return w / np.max(np.abs(w))
 
 
@@ -122,45 +123,18 @@ def project(spec: BackwardSpec, n: int, f, quad_size: int | None = None) -> Expa
     rule = gauss_rule(spec.params, quad_size)
     ts = map_inverse(spec, rule.nodes)
     fv = _sample(f, ts)
-    x = 2.0 * rule.nodes - 1.0
-    coeffs = np.empty(n + 1)
-    p_prev = np.ones_like(x)
-    p = None
-    for r in range(n + 1):
-        if r == 0:
-            cur = p_prev
-        elif r == 1:
-            a0, b0, _ = _recurrence_coeffs(spec.params, 0)
-            p = a0 * x + b0
-            cur = p
-        else:
-            a, b, c = _recurrence_coeffs(spec.params, r - 1)
-            p, p_prev = (a * x + b) * p - c * p_prev, p
-            cur = p
-        coeffs[r] = np.dot(rule.weights, fv * cur) / jacobi_norm(spec.params, r)
-    return Expansion(spec, coeffs)
+    basis = jacobi_table(spec.params, n, 2.0 * rule.nodes - 1.0)
+    norms = np.array([jacobi_norm(spec.params, r) for r in range(n + 1)])
+    return Expansion(spec, (basis * fv) @ rule.weights / norms)
 
 
 def eval_expansion(expansion: Expansion, t):
-    """Expansion value at t via Clenshaw backward recurrence in z."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    x = 2.0 * map_forward(expansion.spec, arr) - 1.0
+    """Expansion value at t (a float for a scalar t, else an array of t's
+    shape), summed over the Jacobi table in z."""
+    x = 2.0 * map_forward(expansion.spec, np.asarray(t, dtype=float)) - 1.0
     c = expansion.coeffs
-    n = len(c) - 1
-    if n == 0:
-        out = np.broadcast_to(c[0], np.shape(x)).copy() if not scalar else c[0]
-        return float(out) if scalar else np.asarray(out, dtype=float)
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(n, 0, -1):
-        a, b, _ = _recurrence_coeffs(expansion.spec.params, k)
-        _, _, c_next = _recurrence_coeffs(expansion.spec.params, k + 1)
-        b1, b2 = c[k] + (a * x + b) * b1 - c_next * b2, b1
-    a0, b0, _ = _recurrence_coeffs(expansion.spec.params, 0)
-    _, _, c1 = _recurrence_coeffs(expansion.spec.params, 1)
-    out = c[0] + (a0 * x + b0) * b1 - c1 * b2
-    return float(out) if scalar else out
+    out = np.tensordot(c, jacobi_table(expansion.spec.params, len(c) - 1, x), axes=1)
+    return float(out) if out.ndim == 0 else out
 
 
 def interpolate(spec: BackwardSpec, n: int, f) -> Interpolant:

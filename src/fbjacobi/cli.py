@@ -206,6 +206,8 @@ def cmd_converge(args) -> int:
             l2w = weighted_l2_error(
                 l2_spec, problem.exact, sol.interpolant, max(4 * (n + 1), 128)
             )
+            if not (math.isfinite(linf) and math.isfinite(l2w)):
+                raise ValueError(f"non-finite error norms (linf {linf}, l2w {l2w})")
             diag = sol.diagnostics
             rows.append(
                 (n, linf, l2w, diag.condition,
@@ -258,7 +260,6 @@ def _add_problem_flags(parser):
     parser.add_argument("--source-expr", help="custom source g(t) as a Python expression")
     parser.add_argument("--exact-expr", help="custom exact solution u(t), optional")
     parser.add_argument("--eval-points", type=int, default=2001)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="output path (default: stdout)")
 
 
@@ -290,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     p_self.add_argument("--quick", action="store_true", help="skip the N=64 Lebesgue sweep")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--out", help="ignored; accepted for interface uniformity")
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

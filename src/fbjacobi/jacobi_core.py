@@ -1,5 +1,10 @@
 """Classical Jacobi polynomials on [-1,1], shifted norms on [0,1], and
-Gauss quadrature rules for the weight (1-z)^mu * z^upsilon on [0,1]."""
+Gauss quadrature rules for the weight (1-z)^mu * z^upsilon on [0,1].
+
+This module is the only place that knows the three-term recurrence:
+`jacobi_table` evaluates P_0..P_n with it and `gauss_rule` builds its
+Golub-Welsch matrix from the monic form of the same recurrence.
+"""
 
 from dataclasses import dataclass, field
 
@@ -69,24 +74,30 @@ def _recurrence_coeffs(params: JacobiParams, k: int):
     return a, b, c
 
 
-def jacobi_eval(params: JacobiParams, r: int, x):
-    """Value of the classical Jacobi polynomial P_r^{mu,upsilon} at x in [-1,1].
+def jacobi_table(params: JacobiParams, n: int, x) -> np.ndarray:
+    """Classical Jacobi polynomials P_0..P_n^{mu,upsilon} at x in [-1,1].
 
-    Forward three-term recurrence from degrees 0 and 1; `x` may be a scalar
-    or an ndarray.
+    Forward three-term recurrence from degrees 0 and 1; the degree runs along
+    the first axis, so the result has shape (n+1,) + shape(x).
     """
+    x = np.asarray(x, dtype=float)
+    table = np.empty((n + 1,) + x.shape)
+    table[0] = 1.0
+    if n >= 1:
+        a0, b0, _ = _recurrence_coeffs(params, 0)
+        table[1] = a0 * x + b0
+    for k in range(1, n):
+        a, b, c = _recurrence_coeffs(params, k)
+        table[k + 1] = (a * x + b) * table[k] - c * table[k - 1]
+    return table
+
+
+def jacobi_eval(params: JacobiParams, r: int, x):
+    """Value of the classical Jacobi polynomial P_r^{mu,upsilon} at x in [-1,1];
+    `x` may be a scalar or an ndarray."""
     if r < 0:
         raise ValueError(f"degree must be nonnegative, got {r}")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if r == 0:
-        return p_prev[()] if p_prev.ndim == 0 else p_prev
-    a0, b0, _ = _recurrence_coeffs(params, 0)
-    p = a0 * x + b0
-    for k in range(1, r):
-        a, b, c = _recurrence_coeffs(params, k)
-        p, p_prev = (a * x + b) * p - c * p_prev, p
-    return p[()] if p.ndim == 0 else p
+    return jacobi_table(params, r, x)[r][()]
 
 
 def jacobi_norm(params: JacobiParams, r: int) -> float:
@@ -125,25 +136,22 @@ def gauss_rule(params: JacobiParams, m: int) -> QuadratureRule:
 
     # Monic recurrence coefficients for the weight on [-1,1], then the
     # affine shift x = 2z - 1 halves the diagonal offsets and off-diagonals.
-    diag = np.empty(m)
-    diag[0] = (up - mu) / (s + 2.0)
-    off = np.empty(max(m - 1, 0))
-    if m > 1:
-        off[0] = math.sqrt(4.0 * (mu + 1.0) * (up + 1.0) / ((s + 2.0) ** 2 * (s + 3.0)))
-    for k in range(1, m):
-        two = 2.0 * k + s
-        diag[k] = (up * up - mu * mu) / (two * (two + 2.0))
-        if k < m - 1:
-            kk = k + 1.0
-            t2 = 2.0 * kk + s
-            off[k] = math.sqrt(
-                4.0 * kk * (kk + mu) * (kk + up) * (kk + s)
-                / (t2 * t2 * (t2 + 1.0) * (t2 - 1.0))
-            )
-    jac = np.diag((diag + 1.0) / 2.0)
-    if m > 1:
-        half_off = off / 2.0
-        jac += np.diag(half_off, 1) + np.diag(half_off, -1)
+    two = 2.0 * np.arange(1.0, m) + s
+    diag = np.concatenate((
+        [(up - mu) / (s + 2.0)],
+        (up * up - mu * mu) / (two * (two + 2.0)),
+    ))
+    kk = np.arange(2.0, m)
+    t2 = 2.0 * kk + s
+    off = np.concatenate((
+        [math.sqrt(4.0 * (mu + 1.0) * (up + 1.0) / ((s + 2.0) ** 2 * (s + 3.0)))],
+        np.sqrt(
+            4.0 * kk * (kk + mu) * (kk + up) * (kk + s)
+            / (t2 * t2 * (t2 + 1.0) * (t2 - 1.0))
+        ),
+    ))[: m - 1]
+    half_off = off / 2.0
+    jac = np.diag((diag + 1.0) / 2.0) + np.diag(half_off, 1) + np.diag(half_off, -1)
     try:
         nodes, vectors = np.linalg.eigh(jac)
     except np.linalg.LinAlgError as exc:

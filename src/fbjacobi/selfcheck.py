@@ -28,7 +28,7 @@ from .backward_basis import (
     map_inverse,
     sturm_liouville_apply,
 )
-from .jacobi_core import JacobiParams, gauss_rule, jacobi_eval, jacobi_norm
+from .jacobi_core import JacobiParams, gauss_rule, jacobi_norm, jacobi_table
 from .problems import _source_mismatch, case_i, example1, oracle_kr
 from .special_functions import beta
 from .volterra_solver import solve
@@ -60,8 +60,7 @@ def check_orthogonality() -> CheckResult:
         for rho in (1.0, 0.5, 1.0 / 3.0):
             spec = BackwardSpec(JacobiParams(mu, up), rho)
             rule = gauss_rule(spec.params, n + 2)
-            x = 2.0 * rule.nodes - 1.0
-            basis = np.vstack([jacobi_eval(spec.params, r, x) for r in range(n + 1)])
+            basis = jacobi_table(spec.params, n, 2.0 * rule.nodes - 1.0)
             gram = basis @ (rule.weights[:, None] * basis.T)
             for r in range(n + 1):
                 for s in range(n + 1):

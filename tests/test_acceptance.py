@@ -252,23 +252,18 @@ def test_08_source_integrity():
         case_i(0.5, SQRT2, SQRT3),
         case_ii(0.5, SQRT2, SQRT3),
     ]
+    probes = np.array([0.0, 0.25, 0.5, 0.75, 0.95])
     for prob in problems:
-        def u(t, prob=prob):
-            return float(prob.exact(t))
-
-        for t in (0.0, 0.25, 0.5, 0.75, 0.95):
-            ref = u(t) - oracle_kr(u, prob.theta, prob.kernel, t)
-            worst_probe = max(worst_probe, abs(prob.source_at(t, 1.0 - t) - ref))
+        ref = prob.exact(probes) - oracle_kr(prob.exact, prob.theta, prob.kernel, probes)
+        got = np.array([prob.source_at(t, 1.0 - t) for t in probes])
+        worst_probe = max(worst_probe, float(np.max(np.abs(got - ref))))
     worst_double = 0.0
     cfg = OracleConfig()
+    ts = np.array([0.0, 0.5, 0.9])
     for prob in problems:
-        def u(t, prob=prob):
-            return float(prob.exact(t))
-
-        for t in (0.0, 0.5, 0.9):
-            a = oracle_kr(u, prob.theta, prob.kernel, t, cfg, verify=False)
-            b = oracle_kr(u, prob.theta, prob.kernel, t, cfg.doubled(), verify=False)
-            worst_double = max(worst_double, abs(a - b))
+        a = oracle_kr(prob.exact, prob.theta, prob.kernel, ts, cfg, verify=False)
+        b = oracle_kr(prob.exact, prob.theta, prob.kernel, ts, cfg.doubled(), verify=False)
+        worst_double = max(worst_double, float(np.max(np.abs(a - b))))
     ok = worst_probe <= 1e-9 and worst_double <= 1e-11
     report("8 source integrity", ok,
            f"probe {worst_probe:.2e} vs 1e-9, doubling {worst_double:.2e} vs 1e-11")

@@ -6,6 +6,7 @@ import pytest
 from fbjacobi.approximation import (
     Expansion,
     _sample,
+    barycentric_weights,
     eval_expansion,
     eval_grid,
     eval_interpolant,
@@ -96,6 +97,15 @@ class TestEvalExpansion:
         direct = sum(coeffs[r] * fb_eval(s, r, ts) for r in range(9))
         assert np.max(np.abs(eval_expansion(exp, ts) - direct)) <= 1e-13
 
+    def test_array_shape_preserved(self):
+        rng = np.random.default_rng(12)
+        exp = Expansion(spec_of(-0.25, -0.25, 0.5), rng.standard_normal(9))
+        ts = rng.uniform(0, 1, 12)
+        got = eval_expansion(exp, ts.reshape(3, 4))
+        assert got.shape == (3, 4)
+        assert np.array_equal(got, eval_expansion(exp, ts).reshape(3, 4))
+        assert isinstance(eval_expansion(exp, 0.25), float)
+
 
 class TestInterpolate:
     def test_nodal_reproduction_is_exact(self):
@@ -147,6 +157,18 @@ class TestInterpolate:
         zm = map_forward(s, t_mid)
         ref = ip.values[0] * (zm - z1) / (z0 - z1) + ip.values[1] * (zm - z0) / (z1 - z0)
         assert abs(eval_interpolant(ip, t_mid) - ref) <= 1e-15
+
+    def test_degree_600_weights_are_finite(self):
+        # the product of N node gaps underflowed to 0 from N ~ 520 on
+        s = spec_of(-0.5, -0.5, 0.5)
+        ip = interpolate(s, 600, lambda t: np.exp(map_forward(s, t)))
+        gaps = ip.nodes_z[:, None] - ip.nodes_z[None, :]
+        np.fill_diagonal(gaps, 1.0)
+        log_w = -np.sum(np.log(np.abs(gaps)), axis=1)
+        ref = np.prod(np.sign(gaps), axis=1) * np.exp(log_w - np.max(log_w))
+        assert np.max(np.abs(ip.bary_weights - ref)) <= 1e-10
+        ts = np.linspace(0.0, 0.99, 100)
+        assert np.max(np.abs(eval_interpolant(ip, ts) - np.exp(map_forward(s, ts)))) <= 1e-13
 
     @pytest.mark.parametrize("shape", [(2, 9), (4, 5)])
     def test_array_shape_preserved(self, shape):

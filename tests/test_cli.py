@@ -130,6 +130,20 @@ class TestConvergeCommand:
         for line in lines[1:]:
             assert line.split(",")[1] == ""
 
+    def test_non_finite_errors_fail_the_row(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        code = run([
+            "converge", "--problem", "custom",
+            "--kernel-expr", "math.nan if 0.9<p<0.95 else 1.0",
+            "--source-expr", "1.0", "--exact-expr", "1.0",
+            "--n-min", "4", "--n-max", "8", "--n-step", "4",
+            "--eval-points", "11", "--out", str(out),
+        ])
+        assert code == 0
+        assert "non-finite" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert lines[1:] == ["4,,,,,", "8,,,,,"]
+
     def test_converge_requires_exact(self, capsys):
         code = run([
             "converge", "--problem", "custom",

@@ -10,6 +10,7 @@ from fbjacobi.jacobi_core import (
     gauss_rule,
     jacobi_eval,
     jacobi_norm,
+    jacobi_table,
 )
 from fbjacobi.special_functions import beta, gamma_ratio
 
@@ -70,6 +71,30 @@ class TestJacobiEval:
             got = jacobi_eval(params, r, xs)
             scale = np.maximum(1.0, np.abs(ref))
             assert np.max(np.abs(got - ref) / scale) <= 1e-12
+
+
+class TestJacobiTable:
+    @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+    def test_against_scipy(self, params):
+        xs = np.linspace(-1.0, 1.0, 17)
+        table = jacobi_table(params, 15, xs)
+        ref = np.array(
+            [scipy.special.eval_jacobi(r, params.mu, params.upsilon, xs) for r in range(16)]
+        )
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(table - ref) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.3, np.linspace(-1.0, 1.0, 7),
+                                   np.linspace(-1.0, 1.0, 12).reshape(3, 4)],
+                             ids=["scalar", "1d", "2d"])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_shape_contract(self, x, n):
+        p = JacobiParams(-0.5, 0.3)
+        table = jacobi_table(p, n, x)
+        assert table.shape == (n + 1,) + np.shape(x)
+        assert np.all(table[0] == 1.0)
+        for r in range(n + 1):
+            assert np.array_equal(table[r], jacobi_eval(p, r, x))
 
 
 class TestJacobiNorm:
