@@ -77,10 +77,6 @@ class Expansion:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         self.coeffs.setflags(write=False)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, t):
         return eval_expansion(self, t)
 
@@ -100,10 +96,6 @@ class Interpolant:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return len(self.nodes_z) - 1
 
     def __call__(self, t):
         return eval_interpolant(self, t)

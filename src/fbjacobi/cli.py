@@ -146,14 +146,11 @@ def cmd_solve(args) -> int:
     except Exception as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    u_ex = [None] * len(ts) if problem.exact is None else _sample(problem.exact, ts)
     lines = ["t,u_num,u_exact,abs_error"]
-    if problem.exact is not None:
-        u_ex = _sample(problem.exact, ts)
-        for t, un, ue in zip(ts, u_num, u_ex):
-            lines.append(f"{_num(t)},{_num(un)},{_num(ue)},{_num(abs(un - ue))}")
-    else:
-        for t, un in zip(ts, u_num):
-            lines.append(f"{_num(t)},{_num(un)},,")
+    for t, un, ue in zip(ts, u_num, u_ex):
+        err = None if ue is None else abs(un - ue)
+        lines.append(f"{_num(t)},{_num(un)},{_num(ue)},{_num(err)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -52,13 +52,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of sampled integrand values at the nodes."""
-        return float(np.dot(self.weights, values))
-
 
 def _recurrence_coeffs(params: JacobiParams, k: int):
     """(A_k, B_k, C_k) of P_{k+1}(x) = (A_k x + B_k) P_k(x) - C_k P_{k-1}(x)."""

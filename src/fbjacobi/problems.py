@@ -144,7 +144,7 @@ def _source_mismatch(prob: ProblemDefinition, cfg: OracleConfig = OracleConfig()
     """Max |g - (u - K_R u)| over five probe points, with g read through
     `source_at` and K_R u from one oracle call; NaN when any value is NaN."""
     t = np.array([0.0, 0.25, 0.5, 0.75, 0.95])
-    g = np.array([prob.source_at(x, 1.0 - x) for x in t])
+    g = prob.source_at(t, 1.0 - t)
     ref = prob.exact(t) - oracle_kr(prob.exact, prob.theta, prob.kernel, t, cfg)
     return float(np.max(np.abs(g - ref)))
 
@@ -171,21 +171,14 @@ def example1(theta: float, cfg: OracleConfig = OracleConfig()) -> ProblemDefinit
         out = np.where(w > 0.0, out, 0.0)
         return out[()] if out.ndim == 0 else out
 
-    def exact(t):
-        return u_w(1.0 - np.asarray(t, dtype=float))
-
     def g_w(w: float) -> float:
         if w <= 0.0:
             return 0.0
         half = 0.5 * w
         return float(u_w(w)) - scale * w**nu * math.sin(half) * bessel_j(nu, half)
 
-    def source(t: float) -> float:
-        return g_w(1.0 - t)
-
     prob = ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source=source, exact=exact,
-        source_w=g_w, exact_w=u_w, label="example1",
+        theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w, label="example1",
     )
     mismatch = _source_mismatch(prob, cfg)
     if not mismatch <= 1e-9:  # NaN fails too
@@ -205,27 +198,16 @@ def case_i(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
     b2 = beta(1.0 - theta, gamma2 + 1.0)
 
     def u_w(w):
-        w = np.asarray(w, dtype=float)
-        out = w**gamma1 + w**gamma2
-        return out[()] if out.ndim == 0 else out
-
-    def exact(t):
-        return u_w(1.0 - np.asarray(t, dtype=float))
+        return w**gamma1 + w**gamma2
 
     def g_w(w):
-        w = np.asarray(w, dtype=float)
-        out = (
+        return (
             w**gamma1 - b1 * w ** (1.0 - theta + gamma1)
             + w**gamma2 - b2 * w ** (1.0 - theta + gamma2)
         )
-        return out[()] if out.ndim == 0 else out
-
-    def source(t):
-        return g_w(1.0 - np.asarray(t, dtype=float))
 
     return ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source=source, exact=exact,
-        source_w=g_w, exact_w=u_w, label="case1",
+        theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w, label="case1",
     )
 
 
@@ -238,12 +220,7 @@ def case_ii(theta: float, gamma1: float, gamma2: float,
         raise ValueError("both exponents must be positive")
 
     def u_w(w):
-        w = np.asarray(w, dtype=float)
-        out = np.sin(w**gamma1 + w**gamma2)
-        return out[()] if out.ndim == 0 else out
-
-    def exact(t):
-        return u_w(1.0 - np.asarray(t, dtype=float))
+        return np.sin(w**gamma1 + w**gamma2)
 
     def g_w(w):
         w = np.asarray(w, dtype=float)
@@ -251,12 +228,8 @@ def case_ii(theta: float, gamma1: float, gamma2: float,
         out = u_w(w) - kr
         return out[()] if out.ndim == 0 else out
 
-    def source(t):
-        return g_w(1.0 - np.asarray(t, dtype=float))
-
     return ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source=source, exact=exact,
-        source_w=g_w, exact_w=u_w, label="case2",
+        theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w, label="case2",
     )
 
 

@@ -7,6 +7,11 @@ criterion so accuracy is uniform over the admissible parameter ranges.
 
 import math
 
+# Term caps of the two series; the relative-term stop criterion normally
+# ends them sooner.
+_BESSEL_MAX_TERMS = 200
+_MITTAG_LEFFLER_MAX_TERMS = 500
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a special function."""
@@ -33,7 +38,7 @@ def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def bessel_j(nu: float, x: float, max_terms: int = 200) -> float:
+def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x), nu > -1, x >= 0.
 
     Ascending series (x/2)^nu * sum_i (-(x/2)^2)^i / (i! Gamma(nu+i+1)),
@@ -54,7 +59,7 @@ def bessel_j(nu: float, x: float, max_terms: int = 200) -> float:
     term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
     total = term
     msq = -half * half
-    for i in range(1, max_terms):
+    for i in range(1, _BESSEL_MAX_TERMS):
         term *= msq / (i * (nu + i))
         total += term
         if abs(term) < 1e-16 * abs(total):
@@ -62,7 +67,7 @@ def bessel_j(nu: float, x: float, max_terms: int = 200) -> float:
     return total
 
 
-def mittag_leffler(sigma: float, z: float, max_terms: int = 500) -> float:
+def mittag_leffler(sigma: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_sigma(z) = sum z^n / Gamma(sigma n + 1).
 
     Terms are built by a multiplicative recurrence (each step multiplies by
@@ -80,7 +85,7 @@ def mittag_leffler(sigma: float, z: float, max_terms: int = 500) -> float:
     term = 1.0
     running = 1.0
     prev_lg = 0.0  # lgamma(1)
-    for n in range(1, max_terms):
+    for n in range(1, _MITTAG_LEFFLER_MAX_TERMS):
         if int_sigma:
             # Gamma ratio of consecutive terms is an exact integer product
             divisor = 1

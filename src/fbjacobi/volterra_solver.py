@@ -36,13 +36,15 @@ class ProblemDefinition:
 
     `kernel` is K(t, rho) on the triangle t <= rho <= 1 and `source` is g(t).
     `source_w`/`exact_w`, when given, are the same functions expressed in
-    w = 1 - t; the solver prefers them near the terminal endpoint, where w is
-    known far more accurately than t.
+    w = 1 - t. A problem may give only the w-form of g or u; the missing
+    t-form is then derived as t -> f(1 - t). `source_at` reads the w-form
+    when there is one, because near the terminal endpoint w is known far more
+    accurately than t.
     """
 
     theta: float
     kernel: object
-    source: object
+    source: object = None
     exact: object = None
     source_w: object = None
     exact_w: object = None
@@ -51,6 +53,12 @@ class ProblemDefinition:
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0,1), got {self.theta}")
+        if self.source is None and self.source_w is None:
+            raise ValueError("a problem needs a source or a source_w")
+        if self.source is None:
+            object.__setattr__(self, "source", _in_t(self.source_w))
+        if self.exact is None and self.exact_w is not None:
+            object.__setattr__(self, "exact", _in_t(self.exact_w))
         for t in (0.0, 0.3, 0.8):
             for rho_ in (t, 0.5 * (t + 1.0), 1.0):
                 val = float(self.kernel(t, rho_))
@@ -59,11 +67,17 @@ class ProblemDefinition:
                         f"kernel not finite at (t, rho) = ({t}, {rho_}): {val}"
                     )
 
-    def source_at(self, t: float, w: float) -> float:
-        """Source value at t, using the w = 1-t form when available."""
+    def source_at(self, t, w):
+        """Source values at t (scalars or arrays, with w = 1 - t), read from
+        the w-form when there is one; a float for scalar input."""
         if self.source_w is not None:
-            return float(self.source_w(w))
-        return float(self.source(t))
+            return _sample(self.source_w, w)[()]
+        return _sample(self.source, t)[()]
+
+
+def _in_t(f_w):
+    """The t-form t -> f_w(1 - t) of a function of w = 1 - t."""
+    return lambda t: f_w(1.0 - np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -169,16 +183,21 @@ def assemble(problem: ProblemDefinition, spec: BackwardSpec, n: int):
 def _assemble_from(ctx: _Assembly):
     n = ctx.n
     mat = np.eye(n + 1)
-    rhs = np.empty(n + 1)
     for i in range(n + 1):
         h = cardinal_matrix(ctx.nodes_z, ctx.bary, ctx.quad_z[i])
         mat[i, :] -= (ctx.chi * ctx.kbar[i]) @ h
-        try:
-            rhs[i] = ctx.problem.source_at(ctx.nodes_t[i], ctx.w_nodes[i])
-        except Exception as exc:
-            raise SourceEvaluationError(
-                f"source evaluation failed at node {i} (t = {ctx.nodes_t[i]!r})"
-            ) from exc
+    try:
+        rhs = ctx.problem.source_at(ctx.nodes_t, ctx.w_nodes)
+    except Exception as exc:
+        # Failure path only: name the first node at which the source fails.
+        for i, (t, w) in enumerate(zip(ctx.nodes_t, ctx.w_nodes)):
+            try:
+                ctx.problem.source_at(t, w)
+            except Exception as node_exc:
+                raise SourceEvaluationError(
+                    f"source evaluation failed at node {i} (t = {float(t)!r})"
+                ) from node_exc
+        raise SourceEvaluationError("source evaluation failed on the node array") from exc
     return mat, rhs
 
 

@@ -14,6 +14,7 @@ N, which rules out a scheme instability).
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -21,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+import fbjacobi
 from fbjacobi.approximation import (
     Expansion,
     eval_expansion,
@@ -297,14 +299,17 @@ def test_10_cli_reproducibility(tmp_path):
         "--n-min", "4", "--n-max", "16", "--n-step", "4",
         "--eval-points", "201",
     ]
+    # The CLI subprocesses import the same fbjacobi as this process.
+    paths = [os.path.dirname(os.path.dirname(fbjacobi.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    r1 = subprocess.run(args + ["--out", str(out1)], capture_output=True)
-    r2 = subprocess.run(args + ["--out", str(out2)], capture_output=True)
+    r1 = subprocess.run(args + ["--out", str(out1)], capture_output=True, env=env)
+    r2 = subprocess.run(args + ["--out", str(out2)], capture_output=True, env=env)
     identical = (r1.returncode == 0 and r2.returncode == 0
                  and out1.read_bytes() == out2.read_bytes())
     start = time.perf_counter()
     st = subprocess.run([sys.executable, "-m", "fbjacobi.cli", "selftest"],
-                        capture_output=True)
+                        capture_output=True, env=env)
     elapsed = time.perf_counter() - start
     ok = identical and st.returncode == 0 and elapsed < 180.0
     report("10 cli reproducibility", ok,

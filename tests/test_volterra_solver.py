@@ -54,6 +54,23 @@ class TestProblemDefinition:
         )
         assert prob.source_at(0.75, 0.25) == 0.25
 
+    def test_t_forms_derived_from_w_forms(self):
+        prob = ProblemDefinition(
+            theta=0.5,
+            kernel=lambda t, p: 1.0,
+            source_w=lambda w: w * w - 2.0 * w,
+            exact_w=lambda w: 3.0 * w + 1.0,
+        )
+        ts = np.array([0.0, 0.25, 0.9, 1.0])
+        for f, f_w in ((prob.source, prob.source_w), (prob.exact, prob.exact_w)):
+            assert isinstance(f(0.25), float)
+            assert f(0.25) == f_w(0.75)
+            assert np.array_equal(f(ts), f_w(1.0 - ts))
+
+    def test_source_required(self):
+        with pytest.raises(ValueError, match="source"):
+            ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0)
+
 
 class TestKernelTransform:
     def test_ratio_limit_and_splice(self):
@@ -192,15 +209,41 @@ class TestAssemble:
             assert abs(operator_part[i, :].sum() - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_source_failure_reports_node(self):
-        def bad_source(t):
-            raise RuntimeError("boom")
+        # each source fails for t > threshold; the error names the first such node
+        spec, n = spec_of(-0.25, -0.25, 0.5), 8
+        nodes = fb_nodes(spec, n)
+        mid = int(np.sum(nodes <= 0.5))
+        assert 0 < mid <= n
+        for threshold, first in ((-1.0, 0), (0.5, mid)):
+            def bad_source(t):
+                if t > threshold:
+                    raise RuntimeError("boom")
+                return 1.0
 
-        prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source=bad_source)
-        with pytest.raises(SourceEvaluationError, match="node 0"):
-            assemble(prob, spec_of(-0.25, -0.25, 0.5), 4)
+            prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source=bad_source)
+            with pytest.raises(SourceEvaluationError) as info:
+                assemble(prob, spec, n)
+            message = str(info.value)
+            assert f"node {first} (t = {float(nodes[first])!r})" in message
+            assert "np.float64" not in message
 
 
 class TestSolve:
+    def test_array_source_read_once(self):
+        calls = []
+
+        def g_w(w):
+            calls.append(np.shape(w))
+            return 1.0 / (1.0 + w) + w * w
+
+        prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source_w=g_w)
+        spec, n = spec_of(-0.25, -0.25, 0.5), 16
+        solve(prob, spec, n)
+        assert calls == [(n + 1,)]
+        _, rhs = assemble(prob, spec, n)
+        w_nodes = np.exp(np.log1p(-gauss_rule(spec.params, n + 1).nodes) / spec.rho)
+        assert np.array_equal(rhs, [g_w(float(w)) for w in w_nodes])
+
     def test_zero_kernel_interpolates_source(self):
         prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 0.0,
                                  source=lambda t: math.cos(2.0 * t))
