@@ -1,63 +1,25 @@
 """Fractional backward Jacobi spectral approximation and a collocation solver
-for weakly singular adjoint Volterra integral equations on [0,1]."""
+for weakly singular adjoint Volterra integral equations on [0,1].
 
-from .approximation import (
-    Expansion,
-    Interpolant,
-    eval_expansion,
-    eval_grid,
-    eval_interpolant,
-    interpolate,
-    lebesgue_constant,
-    linf_error,
-    project,
-    weighted_l2_error,
-)
-from .backward_basis import (
-    BackwardSpec,
-    fb_deriv_eval,
-    fb_eval,
-    fb_nodes,
-    fb_weight,
-    fb_weight_tilde,
-    map_forward,
-    map_inverse,
-    sturm_liouville_apply,
-)
-from .jacobi_core import (
-    JacobiParams,
-    QuadratureError,
-    QuadratureRule,
-    gauss_rule,
-    jacobi_eval,
-    jacobi_norm,
-)
+The package namespace holds the solver entry points, the built-in problems,
+the error norms and the exceptions they raise; everything else is imported
+from its module."""
+
+from .approximation import eval_grid, linf_error, weighted_l2_error
+from .backward_basis import BackwardSpec
+from .jacobi_core import JacobiParams, QuadratureError
 from .problems import (
     OracleAccuracyError,
-    OracleConfig,
     SourceValidationError,
     case_i,
     case_ii,
     example1,
     oracle_kr,
-    regularity_index,
-)
-from .special_functions import (
-    DomainError,
-    bessel_j,
-    beta,
-    gamma_ratio,
-    log_gamma,
-    mittag_leffler,
 )
 from .volterra_solver import (
-    CollocationSolution,
     ProblemDefinition,
     SingularMatrixError,
     SourceEvaluationError,
-    assemble,
-    discrete_operator,
-    kernel_transform,
     solve,
 )
 

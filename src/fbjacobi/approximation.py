@@ -51,8 +51,9 @@ def _sample(func, *args) -> np.ndarray:
     """func evaluated pointwise on the broadcast of its arguments.
 
     One array call when func accepts arrays and returns either the broadcast
-    shape or a scalar (a constant, which is broadcast); otherwise one scalar
-    call per point.
+    shape or a scalar (a constant, which is broadcast); otherwise, or when the
+    array call raises TypeError or ValueError (a scalar-only function), one
+    scalar call per point. Any other exception propagates.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     shape = args[0].shape
@@ -60,7 +61,7 @@ def _sample(func, *args) -> np.ndarray:
         vals = np.asarray(func(*args), dtype=float)
         if vals.shape in (shape, ()):
             return np.broadcast_to(vals, shape).copy()
-    except Exception:
+    except (TypeError, ValueError):
         pass
     points = zip(*(a.ravel().tolist() for a in args))
     return np.array([float(func(*p)) for p in points], dtype=float).reshape(shape)
@@ -101,18 +102,14 @@ class Interpolant:
         return eval_interpolant(self, t)
 
 
-def project(spec: BackwardSpec, n: int, f, quad_size: int | None = None) -> Expansion:
+def project(spec: BackwardSpec, n: int, f) -> Expansion:
     """Orthogonal projection of f onto the degree-N backward basis space.
 
     Coefficients are weighted inner products divided by the basis norms, with
-    the inner product evaluated in z by a Gauss rule; exact whenever f already
-    lies in the space and quad_size >= N+1.
+    the inner product evaluated in z by a Gauss rule of max(2N, N+32) points;
+    exact whenever f already lies in the space.
     """
-    if quad_size is None:
-        quad_size = max(2 * n, n + 32)
-    if quad_size < n + 1:
-        raise ValueError(f"quad_size must be >= N+1, got {quad_size} for N={n}")
-    rule = gauss_rule(spec.params, quad_size)
+    rule = gauss_rule(spec.params, max(2 * n, n + 32))
     ts = map_inverse(spec, rule.nodes)
     fv = _sample(f, ts)
     basis = jacobi_table(spec.params, n, 2.0 * rule.nodes - 1.0)

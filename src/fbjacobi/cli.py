@@ -29,15 +29,10 @@ EXIT_NUMERICAL = 3
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """One N-sweep: problem label, solver parameters, and per-degree rows of
-    (N, linf_error, l2w_error, cond, assembly_ms, solve_ms); error fields are
-    None for degrees where the solve failed."""
+    """One N-sweep: per-degree rows of (N, linf_error, l2w_error, cond,
+    assembly_ms, solve_ms); error fields are None for degrees where the solve
+    failed."""
 
-    label: str
-    theta: float
-    rho: float
-    mu: float
-    upsilon: float
     rows: tuple
 
     def __post_init__(self):
@@ -80,7 +75,10 @@ def _write_text(path, text: str) -> None:
 
 
 def _expr_function(expr: str, names):
-    code = compile(expr, "<expr>", "eval")
+    try:
+        code = compile(expr, "<expr>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"invalid expression {expr!r}: {exc.msg}") from exc
 
     def func(*args):
         scope = {"math": math}
@@ -143,10 +141,10 @@ def cmd_solve(args) -> int:
         sol = solve(problem, spec, args.n)
         ts = eval_grid(args.rho, args.eval_points)
         u_num = np.atleast_1d(sol.interpolant(ts))
+        u_ex = [None] * len(ts) if problem.exact is None else _sample(problem.exact, ts)
     except Exception as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    u_ex = [None] * len(ts) if problem.exact is None else _sample(problem.exact, ts)
     lines = ["t,u_num,u_exact,abs_error"]
     for t, un, ue in zip(ts, u_num, u_ex):
         err = None if ue is None else abs(un - ue)
@@ -213,8 +211,7 @@ def cmd_converge(args) -> int:
         except Exception as exc:
             print(f"warning: N={n} failed: {exc}", file=sys.stderr)
             rows.append((n, None, None, None, None, None))
-    report = ConvergenceReport(problem.label, args.theta, args.rho,
-                               args.mu, args.upsilon, tuple(rows))
+    report = ConvergenceReport(tuple(rows))
     _write_text(args.out, report.to_csv(timings=args.timings))
     if args.svg is not None:
         series = [

@@ -11,13 +11,18 @@ itself has algebraic derivatives there for non-integer 1/(1-theta).
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .approximation import _sample
 from .special_functions import bessel_j, beta, log_gamma
 from .volterra_solver import ProblemDefinition
+
+# Oracle layout: geometric panels per endpoint, Gauss points per panel and the
+# grading ratio. Every value is checked against the layout with doubled panels.
+_PANELS = 24
+_POINTS_PER_PANEL = 16
+_GRADING_RATIO = 0.15
 
 
 class OracleAccuracyError(RuntimeError):
@@ -28,44 +33,22 @@ class SourceValidationError(RuntimeError):
     """A manufactured source failed its cross-check against the oracle."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Composite-quadrature layout: geometric panels per endpoint, Gauss size
-    per panel, and the grading ratio."""
-
-    panels: int = 24
-    points_per_panel: int = 16
-    grading_ratio: float = 0.15
-
-    def __post_init__(self):
-        if self.panels < 4:
-            raise ValueError(f"need at least 4 panels, got {self.panels}")
-        if self.points_per_panel < 8:
-            raise ValueError(
-                f"need at least 8 points per panel, got {self.points_per_panel}"
-            )
-        if not (0.0 < self.grading_ratio < 1.0):
-            raise ValueError(f"grading ratio must lie in (0,1), got {self.grading_ratio}")
-
-    def doubled(self) -> "OracleConfig":
-        return OracleConfig(2 * self.panels, self.points_per_panel, self.grading_ratio)
-
-
 @functools.lru_cache(maxsize=None)
-def _panel_rule(cfg: OracleConfig):
-    """Points and weights of the graded composite rule on (0,1)."""
-    r = cfg.grading_ratio
+def _panel_rule(panels: int, points: int):
+    """Points and weights of the composite rule on (0,1) with `panels`
+    graded panels toward each end and `points` Gauss points per panel."""
+    r = _GRADING_RATIO
     edges = [0.0]
-    for j in range(cfg.panels - 1, 0, -1):
+    for j in range(panels - 1, 0, -1):
         edges.append(0.5 * r**j)
     edges.append(0.5)
-    for j in range(1, cfg.panels):
+    for j in range(1, panels):
         e = 1.0 - 0.5 * r**j
         if 1.0 - e < 1e-12:  # deeper panels are below double resolution
             break
         edges.append(e)
     edges.append(1.0)
-    x, w = np.polynomial.legendre.leggauss(cfg.points_per_panel)
+    x, w = np.polynomial.legendre.leggauss(points)
     pts, wts = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
@@ -77,15 +60,16 @@ def _panel_rule(cfg: OracleConfig):
     return rule
 
 
-def _oracle_core(theta: float, w: np.ndarray, kernel, u_w, cfg: OracleConfig) -> np.ndarray:
-    """Graded-panel values of the adjoint operator at t = 1 - w for a 1-D
-    array of endpoint distances w, with the integrand expressed through the
-    distance to the terminal endpoint. Rows with w = 0 are 0 and never sampled."""
+def _oracle_core(theta: float, w: np.ndarray, kernel, u_w, rule) -> np.ndarray:
+    """Values of the adjoint operator at t = 1 - w for a 1-D array of
+    endpoint distances w, on the (points, weights) `rule` of _panel_rule, with
+    the integrand expressed through the distance to the terminal endpoint.
+    Rows with w = 0 are 0 and never sampled."""
     out = np.zeros(len(w))
     live = w != 0.0
     w = w[live]
     p = 1.0 / (1.0 - theta)
-    s, sw = _panel_rule(cfg)
+    s, sw = rule
     one_minus_spow = -np.expm1(p * np.log(s))  # 1 - s^p, accurate near s = 1
     w_rho = w[:, None] * one_minus_spow        # 1 - rho(s), one row per w
     varrho = 1.0 - w_rho
@@ -97,11 +81,11 @@ def _oracle_core(theta: float, w: np.ndarray, kernel, u_w, cfg: OracleConfig) ->
     return out
 
 
-def _verified_oracle(theta: float, w: np.ndarray, kernel, u_w, cfg: OracleConfig) -> np.ndarray:
-    """_oracle_core on the doubled panel layout, checked against the coarse
+def _verified_oracle(theta: float, w: np.ndarray, kernel, u_w) -> np.ndarray:
+    """_oracle_core on the doubled panel layout, checked against the standard
     layout; a shift above 1e-9, or NaN, raises OracleAccuracyError."""
-    coarse = _oracle_core(theta, w, kernel, u_w, cfg)
-    fine = _oracle_core(theta, w, kernel, u_w, cfg.doubled())
+    coarse = _oracle_core(theta, w, kernel, u_w, _panel_rule(_PANELS, _POINTS_PER_PANEL))
+    fine = _oracle_core(theta, w, kernel, u_w, _panel_rule(2 * _PANELS, _POINTS_PER_PANEL))
     shift = np.abs(fine - coarse)
     if not np.all(shift <= 1e-9):  # NaN fails too
         i = int(np.argmin(shift <= 1e-9))
@@ -112,15 +96,14 @@ def _verified_oracle(theta: float, w: np.ndarray, kernel, u_w, cfg: OracleConfig
     return fine
 
 
-def oracle_kr(u, theta: float, kernel, t, cfg: OracleConfig = OracleConfig(),
-              verify: bool = True):
+def oracle_kr(u, theta: float, kernel, t):
     """High-accuracy value of int_t^1 (rho-t)^{-theta} K(t,rho) u(rho) drho.
 
     t may be a scalar (a float is returned) or an array (an array of its
     shape is returned); u and the kernel are sampled once per panel layout on
-    the whole grid when they accept arrays, else point by point. With
-    `verify` the computation is repeated at doubled panel count and the finer
-    value returned; a shift above 1e-9, or NaN, raises OracleAccuracyError.
+    the whole grid when they accept arrays, else point by point. The value
+    comes from the doubled panel layout and is checked against the standard
+    one; a shift above 1e-9, or NaN, raises OracleAccuracyError.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
@@ -131,8 +114,7 @@ def oracle_kr(u, theta: float, kernel, t, cfg: OracleConfig = OracleConfig(),
     def u_w(w_rho):
         return u(1.0 - w_rho)
 
-    core = _verified_oracle if verify else _oracle_core
-    vals = core(theta, 1.0 - t.ravel(), kernel, u_w, cfg)
+    vals = _verified_oracle(theta, 1.0 - t.ravel(), kernel, u_w)
     return float(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
@@ -140,16 +122,16 @@ def _unit_kernel(t, varrho):
     return 1.0
 
 
-def _source_mismatch(prob: ProblemDefinition, cfg: OracleConfig = OracleConfig()) -> float:
+def _source_mismatch(prob: ProblemDefinition) -> float:
     """Max |g - (u - K_R u)| over five probe points, with g read through
     `source_at` and K_R u from one oracle call; NaN when any value is NaN."""
     t = np.array([0.0, 0.25, 0.5, 0.75, 0.95])
     g = prob.source_at(t, 1.0 - t)
-    ref = prob.exact(t) - oracle_kr(prob.exact, prob.theta, prob.kernel, t, cfg)
+    ref = prob.exact(t) - oracle_kr(prob.exact, prob.theta, prob.kernel, t)
     return float(np.max(np.abs(g - ref)))
 
 
-def example1(theta: float, cfg: OracleConfig = OracleConfig()) -> ProblemDefinition:
+def example1(theta: float) -> ProblemDefinition:
     """Unit-kernel problem whose exact solution (1-t)^{-theta} sin(1-t) has a
     weak terminal singularity; the closed-form source couples a half-odd-order
     Bessel function with the endpoint distance.
@@ -180,7 +162,7 @@ def example1(theta: float, cfg: OracleConfig = OracleConfig()) -> ProblemDefinit
     prob = ProblemDefinition(
         theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w, label="example1",
     )
-    mismatch = _source_mismatch(prob, cfg)
+    mismatch = _source_mismatch(prob)
     if not mismatch <= 1e-9:  # NaN fails too
         raise SourceValidationError(
             f"closed-form source for theta={theta} is off by {mismatch:.3e} "
@@ -211,8 +193,7 @@ def case_i(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
     )
 
 
-def case_ii(theta: float, gamma1: float, gamma2: float,
-            cfg: OracleConfig = OracleConfig()) -> ProblemDefinition:
+def case_ii(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
     """Terminal-singular solution sin((1-t)^{g1} + (1-t)^{g2}); no closed-form
     source, so g = u - K_R u comes from the oracle, doubling-checked on every
     call (OracleAccuracyError on a shift above 1e-9 or NaN)."""
@@ -224,7 +205,7 @@ def case_ii(theta: float, gamma1: float, gamma2: float,
 
     def g_w(w):
         w = np.asarray(w, dtype=float)
-        kr = _verified_oracle(theta, w.ravel(), _unit_kernel, u_w, cfg).reshape(w.shape)
+        kr = _verified_oracle(theta, w.ravel(), _unit_kernel, u_w).reshape(w.shape)
         out = u_w(w) - kr
         return out[()] if out.ndim == 0 else out
 

@@ -134,13 +134,12 @@ def kernel_transform(problem: ProblemDefinition, spec: BackwardSpec,
 
 
 class _Assembly:
-    """Per (problem, spec, N) cache: collocation nodes, barycentric weights,
-    the quadrature rule, and on the grid of rows i (nodes t_i) by columns k
-    (quadrature points rho_i(eta_k)) the points, their z images and the
-    transformed kernel values."""
+    """The data of one (problem, spec, N) system: collocation nodes,
+    barycentric weights, the (N+1)-point quadrature rule, and on the grid of
+    rows i (nodes t_i) by columns k (quadrature points rho_i(eta_k)) the
+    points, their z images and the transformed kernel values."""
 
-    def __init__(self, problem: ProblemDefinition, spec: BackwardSpec, n: int,
-                 quad_size: int | None = None):
+    def __init__(self, problem: ProblemDefinition, spec: BackwardSpec, n: int):
         self.problem = problem
         self.n = n
         rho, theta = spec.rho, problem.theta
@@ -154,8 +153,7 @@ class _Assembly:
         self.nodes_t = map_inverse(spec, rule.nodes)
         self.bary = barycentric_weights(self.nodes_z)
 
-        m = (quad_size if quad_size is not None else n + 1)
-        qrule = gauss_rule(JacobiParams(1.0 / rho - 1.0, -theta), m)
+        qrule = gauss_rule(JacobiParams(1.0 / rho - 1.0, -theta), n + 1)
         self.chi = qrule.weights
         log_q = np.log1p(-qrule.nodes) / rho         # log(1 - s(eta_k))
         self.quad_t = 1.0 - self.w_nodes[:, None] * np.exp(log_q)
@@ -166,10 +164,10 @@ class _Assembly:
 
 
 def discrete_operator(problem: ProblemDefinition, spec: BackwardSpec, n: int,
-                      phi, i: int, quad_size: int | None = None) -> float:
-    """Gauss approximation of the adjoint integral operator applied to phi,
-    evaluated at collocation node i of the degree-N node set."""
-    ctx = _Assembly(problem, spec, n, quad_size=quad_size)
+                      phi, i: int) -> float:
+    """(N+1)-point Gauss approximation of the adjoint integral operator
+    applied to phi, evaluated at collocation node i of the degree-N node set."""
+    ctx = _Assembly(problem, spec, n)
     return float(np.dot(ctx.chi, ctx.kbar[i] * _sample(phi, ctx.quad_t[i])))
 
 

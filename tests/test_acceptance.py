@@ -39,7 +39,7 @@ from fbjacobi.backward_basis import (
     sturm_liouville_apply,
 )
 from fbjacobi.jacobi_core import JacobiParams, gauss_rule, jacobi_eval, jacobi_norm
-from fbjacobi.problems import OracleConfig, case_i, case_ii, example1, oracle_kr
+from fbjacobi.problems import _oracle_core, _panel_rule, case_i, case_ii, example1, oracle_kr
 from fbjacobi.special_functions import beta
 from fbjacobi.volterra_solver import solve
 
@@ -260,11 +260,13 @@ def test_08_source_integrity():
         got = np.array([prob.source_at(t, 1.0 - t) for t in probes])
         worst_probe = max(worst_probe, float(np.max(np.abs(got - ref))))
     worst_double = 0.0
-    cfg = OracleConfig()
-    ts = np.array([0.0, 0.5, 0.9])
+    ws = 1.0 - np.array([0.0, 0.5, 0.9])
     for prob in problems:
-        a = oracle_kr(prob.exact, prob.theta, prob.kernel, ts, cfg, verify=False)
-        b = oracle_kr(prob.exact, prob.theta, prob.kernel, ts, cfg.doubled(), verify=False)
+        def u_w(w_rho, u=prob.exact):
+            return u(1.0 - w_rho)
+
+        a = _oracle_core(prob.theta, ws, prob.kernel, u_w, _panel_rule(24, 16))
+        b = _oracle_core(prob.theta, ws, prob.kernel, u_w, _panel_rule(48, 16))
         worst_double = max(worst_double, float(np.max(np.abs(a - b))))
     ok = worst_probe <= 1e-9 and worst_double <= 1e-11
     report("8 source integrity", ok,

@@ -67,10 +67,6 @@ class TestProject:
             ip = float(np.dot(rule.weights, resid * fb_eval(s, r, ts)))
             assert abs(ip) <= 1e-10
 
-    def test_quad_size_validation(self):
-        with pytest.raises(ValueError):
-            project(spec_of(0, 0, 1.0), 4, lambda t: t, quad_size=3)
-
 
 class TestEvalExpansion:
     def test_constant_everywhere(self):
@@ -236,6 +232,18 @@ def test_sample_matches_pointwise_loop(func, args, vectorises):
     assert calls[0] > 0
     if vectorises is not None:
         assert len(calls) == (1 if vectorises else 1 + ref.size)
+
+
+def test_sample_propagates_other_errors_from_array_call():
+    calls = []
+
+    def failing(t):
+        calls.append(t)
+        raise RuntimeError("array evaluation failed")
+
+    with pytest.raises(RuntimeError, match="array evaluation failed"):
+        _sample(failing, T_GRID)
+    assert len(calls) == 1
 
 
 class TestErrorNorms:

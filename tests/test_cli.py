@@ -62,6 +62,24 @@ class TestSolveCommand:
     def test_custom_requires_expressions(self, capsys):
         assert run(["solve", "--problem", "custom"]) == 2
 
+    def test_failing_exact_expression_is_numerical_error(self, tmp_path, capsys):
+        code = run([
+            "solve", "--problem", "custom",
+            "--kernel-expr", "1.0", "--source-expr", "1.0",
+            "--exact-expr", "math.log(t-0.5)", "--n", "8",
+            "--out", str(tmp_path / "sol.csv"),
+        ])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_expression_syntax_error_is_usage_error(self, capsys):
+        code = run([
+            "solve", "--problem", "custom",
+            "--kernel-expr", "t +", "--source-expr", "1.0", "--n", "8",
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestConvergeCommand:
     def test_csv_contract_and_byte_stability(self, tmp_path):
@@ -132,13 +150,14 @@ class TestConvergeCommand:
 
     def test_non_finite_errors_fail_the_row(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
-        code = run([
-            "converge", "--problem", "custom",
-            "--kernel-expr", "math.nan if 0.9<p<0.95 else 1.0",
-            "--source-expr", "1.0", "--exact-expr", "1.0",
-            "--n-min", "4", "--n-max", "8", "--n-step", "4",
-            "--eval-points", "11", "--out", str(out),
-        ])
+        with pytest.warns(RuntimeWarning, match="nearly singular"):
+            code = run([
+                "converge", "--problem", "custom",
+                "--kernel-expr", "math.nan if 0.9<p<0.95 else 1.0",
+                "--source-expr", "1.0", "--exact-expr", "1.0",
+                "--n-min", "4", "--n-max", "8", "--n-step", "4",
+                "--eval-points", "11", "--out", str(out),
+            ])
         assert code == 0
         assert "non-finite" in capsys.readouterr().err
         lines = out.read_text().splitlines()
@@ -162,18 +181,15 @@ class TestSelftestCommand:
 class TestConvergenceReport:
     def test_rows_must_increase(self):
         with pytest.raises(ValueError):
-            ConvergenceReport("x", 0.5, 0.5, -0.25, -0.25,
-                              ((8, 1.0, 1.0, 1.0, None, None),
+            ConvergenceReport(((8, 1.0, 1.0, 1.0, None, None),
                                (4, 1.0, 1.0, 1.0, None, None)))
 
     def test_error_fields_validated(self):
         with pytest.raises(ValueError):
-            ConvergenceReport("x", 0.5, 0.5, -0.25, -0.25,
-                              ((4, -1.0, 1.0, 1.0, None, None),))
+            ConvergenceReport(((4, -1.0, 1.0, 1.0, None, None),))
 
     def test_csv_header_and_failed_rows(self):
-        rep = ConvergenceReport("x", 0.5, 0.5, -0.25, -0.25,
-                                ((4, 0.5, 0.25, 10.0, 1.5, 0.5),
+        rep = ConvergenceReport(((4, 0.5, 0.25, 10.0, 1.5, 0.5),
                                  (8, None, None, None, None, None)))
         text = rep.to_csv()
         lines = text.splitlines()

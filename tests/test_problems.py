@@ -5,9 +5,10 @@ import pytest
 
 import fbjacobi.problems
 from fbjacobi.problems import (
-    OracleConfig,
     OracleAccuracyError,
     SourceValidationError,
+    _oracle_core,
+    _panel_rule,
     case_i,
     case_ii,
     example1,
@@ -20,18 +21,12 @@ UNIT_K = lambda t, p: 1.0
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
 
-class TestOracleConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(panels=2)
-        with pytest.raises(ValueError):
-            OracleConfig(points_per_panel=4)
-        with pytest.raises(ValueError):
-            OracleConfig(grading_ratio=1.0)
-
-    def test_doubled(self):
-        cfg = OracleConfig().doubled()
-        assert cfg.panels == 48
+def layout_value(u, theta, kernel, t, panels, points):
+    """oracle_kr's integral at one scalar t on a single panel layout, without
+    the doubling check."""
+    w = np.array([1.0 - t])
+    rule = _panel_rule(panels, points)
+    return float(_oracle_core(theta, w, kernel, lambda w_rho: u(1.0 - w_rho), rule)[0])
 
 
 class TestOracleKr:
@@ -56,7 +51,6 @@ class TestOracleKr:
             assert np.array_equal(oracle_kr(u, theta, UNIT_K, grid), scalar)
 
     def test_panel_doubling_stability(self):
-        cfg = OracleConfig()
         fns = (
             lambda p: (1.0 - p) ** SQRT2 + (1.0 - p) ** SQRT3,
             lambda p: math.sin((1.0 - p) ** SQRT2 + (1.0 - p) ** SQRT3),
@@ -65,8 +59,8 @@ class TestOracleKr:
         for theta in (0.5, 2.0 / 3.0):
             for u in fns:
                 for t in (0.0, 0.5, 0.9):
-                    a = oracle_kr(u, theta, UNIT_K, t, cfg, verify=False)
-                    b = oracle_kr(u, theta, UNIT_K, t, cfg.doubled(), verify=False)
+                    a = layout_value(u, theta, UNIT_K, t, 24, 16)
+                    b = layout_value(u, theta, UNIT_K, t, 48, 16)
                     assert abs(a - b) <= 1e-11
 
     def test_nan_fails_doubling_check(self):
@@ -139,21 +133,22 @@ class TestCaseII:
         assert prob.source_at(1.0, 0.0) == 0.0
 
     def test_equal_exponents_doubling(self):
-        cfg = OracleConfig()
-        prob = case_ii(0.5, SQRT2, SQRT2, cfg)
+        prob = case_ii(0.5, SQRT2, SQRT2)
 
         def u(t):
             return float(prob.exact(t))
 
         for t in (0.1, 0.6):
-            a = oracle_kr(u, 0.5, UNIT_K, t, cfg, verify=False)
-            b = oracle_kr(u, 0.5, UNIT_K, t, cfg.doubled(), verify=False)
+            a = layout_value(u, 0.5, UNIT_K, t, 24, 16)
+            b = layout_value(u, 0.5, UNIT_K, t, 48, 16)
             assert abs(a - b) <= 1e-11
 
     def test_config_independence(self):
-        p1 = case_ii(0.5, SQRT2, SQRT3, OracleConfig())
-        p2 = case_ii(0.5, SQRT2, SQRT3, OracleConfig(panels=30, points_per_panel=20))
-        assert abs(float(p1.source(0.25)) - float(p2.source(0.25))) <= 1e-11
+        # the source from the fixed layout against u - K_R u on another layout
+        prob = case_ii(0.5, SQRT2, SQRT3)
+        u = lambda t: float(prob.exact(t))
+        other = u(0.25) - layout_value(u, 0.5, prob.kernel, 0.25, 30, 20)
+        assert abs(float(prob.source(0.25)) - other) <= 1e-11
 
     def test_source_is_deterministic(self):
         prob = case_ii(0.5, SQRT2, SQRT3)
