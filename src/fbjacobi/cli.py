@@ -2,14 +2,16 @@
 convergence report (CSV, optional SVG), or run the invariant selftest.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage error, 3 numerical
-failure. CSV numbers use the shortest round-trip decimal form, so identical
-flags produce byte-identical files.
+failure. A usage error is anything found before numerical work starts (flags,
+custom expressions) or an unwritable output path; any other failure is
+numerical. Only `main` maps exceptions to exit codes. CSV numbers use the
+shortest round-trip decimal form, so identical flags give byte-identical files.
 """
 
 import argparse
+import ast
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,44 +28,21 @@ EXIT_SELFTEST = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# The custom expression grammar besides names, math.<attr>, numbers and calls.
+_GRAMMAR = (ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare,
+            ast.IfExp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+            ast.UAdd, ast.USub, ast.Not, ast.And, ast.Or,
+            ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """One N-sweep: per-degree rows of (N, linf_error, l2w_error, cond,
-    assembly_ms, solve_ms); error fields are None for degrees where the solve
-    failed."""
 
-    rows: tuple
-
-    def __post_init__(self):
-        ns = [row[0] for row in self.rows]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("rows must be ordered by strictly increasing N")
-        for row in self.rows:
-            for value in row[1:3]:
-                if value is not None and not (value >= 0.0 and math.isfinite(value)):
-                    raise ValueError(f"error fields must be nonnegative finite: {row}")
-
-    def to_csv(self, timings: bool = False) -> str:
-        lines = ["N,linf_error,l2w_error,cond,assembly_ms,solve_ms"]
-        for n, linf, l2w, cond, a_ms, s_ms in self.rows:
-            if not timings:
-                a_ms, s_ms = None, None
-            lines.append(
-                f"{n},{_num(linf)},{_num(l2w)},{_num(cond)},{_num(a_ms)},{_num(s_ms)}"
-            )
-        return "\n".join(lines) + "\n"
+class UsageError(Exception):
+    """Bad command-line input, found before any numerical work."""
 
 
 def _num(x) -> str:
     """Shortest round-trip decimal representation (at most 17 significant
     digits); empty string for missing values."""
     return "" if x is None else repr(float(x))
-
-
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _write_text(path, text: str) -> None:
@@ -74,11 +53,56 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
+def _convergence_csv(rows, timings: bool) -> str:
+    """CSV of (N, linf_error, l2w_error, cond, assembly_ms, solve_ms) rows;
+    None fields (a failed degree) are empty, and so are the ms columns
+    unless `timings`."""
+    lines = ["N,linf_error,l2w_error,cond,assembly_ms,solve_ms"]
+    for n, linf, l2w, cond, a_ms, s_ms in rows:
+        if not timings:
+            a_ms, s_ms = None, None
+        lines.append(f"{n},{_num(linf)},{_num(l2w)},{_num(cond)},{_num(a_ms)},{_num(s_ms)}")
+    return "\n".join(lines) + "\n"
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _check_expr(node, names) -> None:
+    """Raise UsageError unless `node` lies in the custom expression grammar:
+    the given names, public math attributes and positional calls to them,
+    int/float constants, arithmetic, comparisons, and/or/not and if-else."""
+    if isinstance(node, ast.Attribute):  # math.<public name>, checked whole
+        ok = (isinstance(node.value, ast.Name) and node.value.id == "math"
+              and not node.attr.startswith("_") and hasattr(math, node.attr))
+    elif isinstance(node, ast.Name):
+        ok = node.id in names
+    elif isinstance(node, ast.Constant):
+        ok = type(node.value) in (int, float)
+    elif isinstance(node, ast.Call):  # positional calls of math functions
+        ok = (isinstance(node.func, ast.Attribute) and not node.keywords
+              and callable(getattr(math, node.func.attr, None)))
+    else:
+        ok = isinstance(node, _GRAMMAR)
+    if not ok:
+        raise UsageError(f"{ast.unparse(node)!r} is not allowed in a custom expression "
+                         f"(names {', '.join(names)}, math.*, numbers and operators)")
+    if not isinstance(node, ast.Attribute):
+        for child in ast.iter_child_nodes(node):
+            _check_expr(child, names)
+
+
 def _expr_function(expr: str, names):
+    """Compile a custom expression in `names` to a scalar function returning
+    float; raises UsageError if it does not parse or leaves the grammar."""
     try:
-        code = compile(expr, "<expr>", "eval")
+        tree = ast.parse(expr, "<expr>", "eval")
     except SyntaxError as exc:
-        raise ValueError(f"invalid expression {expr!r}: {exc.msg}") from exc
+        raise UsageError(f"invalid expression {expr!r}: {exc.msg}") from exc
+    _check_expr(tree, names)
+    code = compile(tree, "<expr>", "eval")
 
     def func(*args):
         scope = {"math": math}
@@ -88,63 +112,45 @@ def _expr_function(expr: str, names):
     return func
 
 
-def _validate_common(args):
-    if not (0.0 < args.theta < 1.0):
-        return f"--theta must lie in the open interval (0,1), got {args.theta}"
-    if not (0.0 < args.rho <= 1.0):
-        return f"--rho must lie in (0,1], got {args.rho}"
-    if not (args.mu > -1.0 and args.upsilon > -1.0):
-        return f"--mu and --upsilon must be > -1, got ({args.mu}, {args.upsilon})"
-    if args.problem in ("case1", "case2") and not (args.gamma1 > 0.0 and args.gamma2 > 0.0):
-        return f"--gamma1/--gamma2 must be positive, got ({args.gamma1}, {args.gamma2})"
-    if args.eval_points < 2:
-        return f"--eval-points must be >= 2, got {args.eval_points}"
-    return None
-
-
-def _build_problem(args):
+def _setup(args):
+    """Check the shared flags and expressions (UsageError), then build the
+    problem: (problem, spec)."""
+    _require(0.0 < args.theta < 1.0,
+             f"--theta must lie in the open interval (0,1), got {args.theta}")
+    _require(0.0 < args.rho <= 1.0, f"--rho must lie in (0,1], got {args.rho}")
+    _require(args.mu > -1.0 and args.upsilon > -1.0,
+             f"--mu and --upsilon must be > -1, got ({args.mu}, {args.upsilon})")
+    builtin_gammas = args.problem in ("case1", "case2")
+    _require(not builtin_gammas or (args.gamma1 > 0.0 and args.gamma2 > 0.0),
+             f"--gamma1/--gamma2 must be positive, got ({args.gamma1}, {args.gamma2})")
+    _require(args.eval_points >= 2, f"--eval-points must be >= 2, got {args.eval_points}")
+    spec = BackwardSpec(JacobiParams(args.mu, args.upsilon), args.rho)
     if args.problem == "example1":
-        return example1(args.theta)
+        return example1(args.theta), spec
     if args.problem == "case1":
-        return case_i(args.theta, args.gamma1, args.gamma2)
+        return case_i(args.theta, args.gamma1, args.gamma2), spec
     if args.problem == "case2":
-        return case_ii(args.theta, args.gamma1, args.gamma2)
-    if args.kernel_expr is None or args.source_expr is None:
-        raise ValueError(
-            "--problem custom requires --kernel-expr and --source-expr"
-        )
-    return ProblemDefinition(
-        theta=args.theta,
-        kernel=_expr_function(args.kernel_expr, ("t", "p")),
-        source=_expr_function(args.source_expr, ("t",)),
-        exact=(None if args.exact_expr is None
-               else _expr_function(args.exact_expr, ("t",))),
-        label="custom",
-    )
+        return case_ii(args.theta, args.gamma1, args.gamma2), spec
+    _require(args.kernel_expr is not None and args.source_expr is not None,
+             "--problem custom requires --kernel-expr and --source-expr")
+    kernel = _expr_function(args.kernel_expr, ("t", "p"))
+    source = _expr_function(args.source_expr, ("t",))
+    exact = None if args.exact_expr is None else _expr_function(args.exact_expr, ("t",))
+    problem = ProblemDefinition(theta=args.theta, kernel=kernel, source=source,
+                                exact=exact, label="custom")
+    return problem, spec
 
 
 def cmd_solve(args) -> int:
-    problem_error = _validate_common(args)
-    if problem_error:
-        return _fail_usage(problem_error)
-    if args.n < 0:
-        return _fail_usage(f"--n must be >= 0, got {args.n}")
-    try:
-        problem = _build_problem(args)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    except Exception as exc:  # oracle/source construction failures
-        print(f"error: problem construction failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    spec = BackwardSpec(JacobiParams(args.mu, args.upsilon), args.rho)
-    try:
-        sol = solve(problem, spec, args.n)
-        ts = eval_grid(args.rho, args.eval_points)
-        u_num = np.atleast_1d(sol.interpolant(ts))
-        u_ex = [None] * len(ts) if problem.exact is None else _sample(problem.exact, ts)
-    except Exception as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    _require(args.n >= 0, f"--n must be >= 0, got {args.n}")
+    problem, spec = _setup(args)
+    sol = solve(problem, spec, args.n)
+    ts = eval_grid(args.rho, args.eval_points)
+    u_num = np.atleast_1d(sol.interpolant(ts))
+    if not np.all(np.isfinite(u_num)):
+        raise ValueError(f"non-finite u_num at {np.count_nonzero(~np.isfinite(u_num))} "
+                         f"of {len(ts)} grid points")
+    u_ex = [None] * len(ts) if problem.exact is None else _sample(problem.exact, ts)
     lines = ["t,u_num,u_exact,abs_error"]
     for t, un, ue in zip(ts, u_num, u_ex):
         err = None if ue is None else abs(un - ue)
@@ -154,34 +160,23 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    problem_error = _validate_common(args)
-    if problem_error:
-        return _fail_usage(problem_error)
-    if args.n_min > args.n_max:
-        return _fail_usage(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
-    if args.n_step < 1:
-        return _fail_usage(f"--n-step must be >= 1, got {args.n_step}")
+    _require(0 <= args.n_min <= args.n_max,
+             f"need 0 <= --n-min <= --n-max, got {args.n_min} and {args.n_max}")
+    _require(args.n_step >= 1, f"--n-step must be >= 1, got {args.n_step}")
     if args.l2_weight is not None:
         try:
             l2_mu, l2_up = (float(p) for p in args.l2_weight.split(","))
         except ValueError:
-            return _fail_usage(
+            raise UsageError(
                 f"--l2-weight expects 'mu,upsilon', got {args.l2_weight!r}"
-            )
+            ) from None
     else:
         l2_mu, l2_up = args.mu, args.upsilon
-    if not (l2_mu > -1.0 and l2_up > -1.0):
-        return _fail_usage(f"--l2-weight exponents must be > -1, got ({l2_mu}, {l2_up})")
-    try:
-        problem = _build_problem(args)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    except Exception as exc:  # oracle/source construction failures
-        print(f"error: problem construction failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    if problem.exact is None:
-        return _fail_usage("converge needs a problem with a known exact solution")
-    spec = BackwardSpec(JacobiParams(args.mu, args.upsilon), args.rho)
+    _require(l2_mu > -1.0 and l2_up > -1.0,
+             f"--l2-weight exponents must be > -1, got ({l2_mu}, {l2_up})")
+    _require(args.problem != "custom" or args.exact_expr is not None,
+             "converge needs a problem with a known exact solution")
+    problem, spec = _setup(args)
     l2_spec = BackwardSpec(JacobiParams(l2_mu, l2_up), args.rho)
     if args.problem in ("case1", "case2"):
         gamma = regularity_index(args.gamma1, args.gamma2)
@@ -211,13 +206,9 @@ def cmd_converge(args) -> int:
         except Exception as exc:
             print(f"warning: N={n} failed: {exc}", file=sys.stderr)
             rows.append((n, None, None, None, None, None))
-    report = ConvergenceReport(tuple(rows))
-    _write_text(args.out, report.to_csv(timings=args.timings))
+    _write_text(args.out, _convergence_csv(rows, args.timings))
     if args.svg is not None:
-        series = [
-            ("linf", [r[1] for r in report.rows]),
-            ("l2w", [r[2] for r in report.rows]),
-        ]
+        series = [("linf", [r[1] for r in rows]), ("l2w", [r[2] for r in rows])]
         title = (f"{problem.label}: theta={args.theta:g}, rho={args.rho:g}, "
                  f"mu={args.mu:g}, upsilon={args.upsilon:g}")
         try:
@@ -250,8 +241,8 @@ def _add_problem_flags(parser):
     parser.add_argument("--upsilon", type=float, default=-0.25)
     parser.add_argument("--gamma1", type=float, default=math.sqrt(2.0))
     parser.add_argument("--gamma2", type=float, default=math.sqrt(3.0))
-    parser.add_argument("--kernel-expr", help="custom kernel K(t,p) as a Python expression")
-    parser.add_argument("--source-expr", help="custom source g(t) as a Python expression")
+    parser.add_argument("--kernel-expr", help="custom kernel K(t,p) in t, p, math.*")
+    parser.add_argument("--source-expr", help="custom source g(t) in t, math.*")
     parser.add_argument("--exact-expr", help="custom exact solution u(t), optional")
     parser.add_argument("--eval-points", type=int, default=2001)
     parser.add_argument("--out", help="output path (default: stdout)")
@@ -291,7 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, OSError) as exc:  # OSError: an unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # anything once numerical work has started
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

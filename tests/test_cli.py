@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fbjacobi.cli import ConvergenceReport, main
+from fbjacobi.cli import _convergence_csv, main
 from fbjacobi.svgplot import render_semilog
 
 
@@ -178,26 +178,56 @@ class TestSelftestCommand:
         assert "[PASS]" in out and "[FAIL]" not in out
 
 
-class TestConvergenceReport:
-    def test_rows_must_increase(self):
-        with pytest.raises(ValueError):
-            ConvergenceReport(((8, 1.0, 1.0, 1.0, None, None),
-                               (4, 1.0, 1.0, 1.0, None, None)))
-
-    def test_error_fields_validated(self):
-        with pytest.raises(ValueError):
-            ConvergenceReport(((4, -1.0, 1.0, 1.0, None, None),))
-
+class TestConvergenceCsv:
     def test_csv_header_and_failed_rows(self):
-        rep = ConvergenceReport(((4, 0.5, 0.25, 10.0, 1.5, 0.5),
-                                 (8, None, None, None, None, None)))
-        text = rep.to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "N,linf_error,l2w_error,cond,assembly_ms,solve_ms"
-        assert lines[1] == "4,0.5,0.25,10.0,,"
-        assert lines[2] == "8,,,,,"
-        timed = rep.to_csv(timings=True).splitlines()
+        rows = [(4, 0.5, 0.25, 10.0, 1.5, 0.5), (8, None, None, None, None, None)]
+        assert _convergence_csv(rows, timings=False).splitlines() == [
+            "N,linf_error,l2w_error,cond,assembly_ms,solve_ms", "4,0.5,0.25,10.0,,", "8,,,,,",
+        ]
+        timed = _convergence_csv(rows, timings=True).splitlines()
         assert timed[1] == "4,0.5,0.25,10.0,1.5,0.5"
+
+
+CUSTOM = ["solve", "--problem", "custom", "--n", "8", "--eval-points", "11",
+          "--out", "{tmp}/sol.csv"]
+ESCAPE = "[c for c in ().__class__.__base__.__subclasses__()][0].__name__ and 1.0"
+NAN_KERNEL = "math.nan if 0.9<p<0.95 else 1.0"
+
+
+class TestExitCodes:
+    """2 for anything found before numerical work (and unwritable output
+    paths), 3 for any failure after it; always `error: ...`, no traceback."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        pytest.param(CUSTOM + ["--kernel-expr", "math.log(t-0.5)", "--source-expr", "1.0"],
+                     3, "math domain error", id="kernel-domain-error"),
+        pytest.param(CUSTOM + ["--kernel-expr", "tt", "--source-expr", "1.0"],
+                     2, "'tt' is not allowed", id="kernel-unknown-name"),
+        pytest.param(CUSTOM + ["--kernel-expr", "1.0", "--source-expr", "1.0",
+                               "--exact-expr", "tt"],
+                     2, "'tt' is not allowed", id="exact-unknown-name"),
+        pytest.param(CUSTOM + ["--kernel-expr", "1.0", "--source-expr", "p"],
+                     2, "'p' is not allowed", id="source-uses-p"),
+        pytest.param(CUSTOM + ["--kernel-expr", "().__class__", "--source-expr", "1.0"],
+                     2, "is not allowed", id="dunder-attribute"),
+        pytest.param(CUSTOM + ["--kernel-expr", ESCAPE, "--source-expr", "1.0"],
+                     2, "is not allowed", id="subclasses-escape"),
+        pytest.param(CUSTOM + ["--kernel-expr", "math.__loader__", "--source-expr", "1.0"],
+                     2, "'math.__loader__' is not allowed", id="private-math-attribute"),
+        pytest.param(["solve", "--n", "4", "--eval-points", "5",
+                      "--out", "{tmp}/missing/sol.csv"],
+                     2, "No such file or directory", id="unwritable-out"),
+        pytest.param(["converge", "--n-min", "-3", "--n-max", "4", "--out", "{tmp}/c.csv"],
+                     2, "--n-min", id="negative-n-min"),
+        pytest.param(CUSTOM + ["--kernel-expr", NAN_KERNEL, "--source-expr", "1.0"],
+                     3, "non-finite u_num", id="nan-kernel-solve",
+                     marks=pytest.mark.filterwarnings("ignore:collocation system is nearly")),
+    ])
+    def test_exit_code(self, argv, code, message, tmp_path, capsys):
+        assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestSvgPlot:
