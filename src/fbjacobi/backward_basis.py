@@ -7,13 +7,11 @@ user-facing evaluation boundary, so the basis stays accurate arbitrarily
 close to t = 1.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jacobi_core import JacobiParams, gauss_rule, jacobi_eval
-from .special_functions import gamma_ratio
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,8 @@ def deriv_factor(spec: BackwardSpec, r: int, k: int) -> float:
     """Coefficient linking the k-th transformed derivative of degree r to the
     degree r-k basis function with parameters shifted by k.
 
-    Built as the iterated product of the per-step factors r+mu+upsilon+1+j;
-    the product telescopes to a ratio of gamma functions, which is checked
-    here and warned about if it ever drifts beyond rounding.
+    The iterated product of the per-step factors r+mu+upsilon+1+j, which
+    telescopes to Gamma(r+mu+upsilon+1+k) / Gamma(r+mu+upsilon+1).
     """
     if not 1 <= k <= r:
         raise ValueError(f"need 1 <= k <= r, got k={k}, r={r}")
@@ -104,13 +101,6 @@ def deriv_factor(spec: BackwardSpec, r: int, k: int) -> float:
     product = 1.0
     for j in range(k):
         product *= base + j
-    ratio = gamma_ratio(base + k, base)
-    if abs(product - ratio) > 1e-10 * max(abs(product), 1.0):
-        warnings.warn(
-            f"derivative factor mismatch at r={r}, k={k}: "
-            f"product={product!r}, gamma ratio={ratio!r}; using the product",
-            RuntimeWarning,
-        )
     return product
 
 

@@ -21,7 +21,7 @@ from .jacobi_core import JacobiParams
 from .problems import case_i, case_ii, example1, regularity_index
 from .selfcheck import run_all
 from .svgplot import render_semilog
-from .volterra_solver import ProblemDefinition, solve
+from .volterra_solver import MAX_N, ProblemDefinition, solve
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -142,7 +142,7 @@ def _setup(args):
 
 
 def cmd_solve(args) -> int:
-    _require(args.n >= 0, f"--n must be >= 0, got {args.n}")
+    _require(0 <= args.n <= MAX_N, f"--n must lie in [0, {MAX_N}], got {args.n}")
     problem, spec = _setup(args)
     sol = solve(problem, spec, args.n)
     ts = eval_grid(args.rho, args.eval_points)
@@ -160,8 +160,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    _require(0 <= args.n_min <= args.n_max,
-             f"need 0 <= --n-min <= --n-max, got {args.n_min} and {args.n_max}")
+    _require(0 <= args.n_min <= args.n_max <= MAX_N,
+             f"need 0 <= --n-min <= --n-max <= {MAX_N}, got {args.n_min} and {args.n_max}")
     _require(args.n_step >= 1, f"--n-step must be >= 1, got {args.n_step}")
     if args.l2_weight is not None:
         try:

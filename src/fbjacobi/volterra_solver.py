@@ -21,6 +21,10 @@ from .approximation import Interpolant, _sample, barycentric_weights, cardinal_m
 from .backward_basis import BackwardSpec, map_inverse
 from .jacobi_core import JacobiParams, gauss_rule
 
+# Largest N a system is built for: the barycentric weights of the N+1 nodes
+# overflow to NaN from N = 1250 (finite up to 1225).
+MAX_N = 1200
+
 
 class SingularMatrixError(ArithmeticError):
     """LAPACK met an exact zero pivot while factoring the collocation matrix."""
@@ -140,6 +144,8 @@ class _Assembly:
     points, their z images and the transformed kernel values."""
 
     def __init__(self, problem: ProblemDefinition, spec: BackwardSpec, n: int):
+        if n > MAX_N:
+            raise ValueError(f"N = {n} exceeds MAX_N = {MAX_N}")
         self.problem = problem
         self.n = n
         rho, theta = spec.rho, problem.theta
@@ -203,7 +209,8 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
     """Solve the fully discrete collocation system with LAPACK (LU with
     partial pivoting) and wrap the nodal values in an evaluable interpolant.
 
-    Raises SingularMatrixError on an exact zero pivot. The diagnostics carry
+    Raises ValueError for N > MAX_N before anything is built, and
+    SingularMatrixError on an exact zero pivot. The diagnostics carry
     the 1-norm condition number; a value above 1e12, or NaN, sets
     `near_singular` and issues a RuntimeWarning.
     """

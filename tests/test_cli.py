@@ -1,10 +1,14 @@
+import dataclasses
+import importlib
 import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from fbjacobi import selfcheck
 from fbjacobi.cli import _convergence_csv, main
+from fbjacobi.selfcheck import run_all
 from fbjacobi.svgplot import render_semilog
 
 
@@ -178,6 +182,83 @@ class TestSelftestCommand:
         assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def _nan_once(func, when=lambda *args: True, poison=None):
+    """func, with a NaN put into the result of the first call whose arguments
+    satisfy `when` (its first element for an array result); `poison`
+    replaces that step for a result that is not numeric."""
+    state = {"hit": False}
+
+    def patched(*args):
+        out = func(*args)
+        if state["hit"] or not when(*args):
+            return out
+        state["hit"] = True
+        if poison is not None:
+            return poison(out)
+        out = np.array(out, dtype=float)
+        out.flat[0] = math.nan
+        return out[()]
+
+    return patched
+
+
+def _scaled(func, factor):
+    return lambda *args: func(*args) * factor
+
+
+def _nan_values(sol):
+    values = np.array(sol.values)
+    values[0] = math.nan
+    return dataclasses.replace(sol, values=values)
+
+
+def _oracle_call(a, b):
+    # the oracle check calls beta(1 - theta, gamma + 1) with gamma drawn from
+    # (0.3, 3); above 1.3 the quadrature check's mu + 1 is 2 or 6
+    return b > 1.3 and b % 1.0 != 0.0
+
+
+class TestSelftestVerdicts:
+    """A NaN from any value a check reads fails that check, and a finite
+    perturbation past the bound fails it too."""
+
+    @pytest.mark.parametrize("module, name, patch, check", [
+        ("selfcheck", "jacobi_norm", _nan_once, "orthogonality"),
+        ("selfcheck", "beta", _nan_once, "quadrature exactness"),
+        ("selfcheck", "beta", lambda f: _nan_once(f, _oracle_call), "oracle beta identity"),
+        ("selfcheck", "fb_deriv_eval", _nan_once, "derivative identity"),
+        ("selfcheck", "sturm_liouville_apply", _nan_once, "sturm-liouville residual"),
+        ("selfcheck", "deriv_factor", _nan_once, "inverse inequality"),
+        ("selfcheck", "solve", lambda f: _nan_once(f, poison=_nan_values),
+         "polynomial recovery"),
+        ("selfcheck", "lebesgue_constant", _nan_once, "lebesgue growth"),
+        ("selfcheck", "weighted_l2_error", _nan_once, "interpolation stability"),
+        ("selfcheck", "jacobi_norm", lambda f: _scaled(f, 1.0 + 1e-9), "orthogonality"),
+        ("backward_basis", "deriv_factor", lambda f: _scaled(f, 1.0 + 1e-5),
+         "derivative identity"),
+    ])
+    def test_patched_value_fails_its_check(self, module, name, patch, check, monkeypatch):
+        mod = importlib.import_module(f"fbjacobi.{module}")
+        monkeypatch.setattr(mod, name, patch(getattr(mod, name)))
+        results = {r.name: r for r in run_all(seed=0, quick=True)}
+        assert not results[check].passed, results[check].detail
+        assert "raised" not in results[check].detail
+
+    def test_verdicts_are_bools(self):
+        assert all(type(r.passed) is bool for r in run_all(seed=0, quick=True))
+
+    def test_crashed_check_fails_by_name(self, monkeypatch):
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(selfcheck, "sturm_liouville_apply", boom)
+        results = run_all(seed=0, quick=True)
+        assert len(results) == 10
+        crashed = [r for r in results if not r.passed]
+        assert [r.name for r in crashed] == ["sturm-liouville residual"]
+        assert crashed[0].detail == "raised ValueError('boom')"
+
+
 class TestConvergenceCsv:
     def test_csv_header_and_failed_rows(self):
         rows = [(4, 0.5, 0.25, 10.0, 1.5, 0.5), (8, None, None, None, None, None)]
@@ -219,6 +300,10 @@ class TestExitCodes:
                      2, "No such file or directory", id="unwritable-out"),
         pytest.param(["converge", "--n-min", "-3", "--n-max", "4", "--out", "{tmp}/c.csv"],
                      2, "--n-min", id="negative-n-min"),
+        pytest.param(["solve", "--n", "1201"], 2, "--n must lie in [0, 1200]",
+                     id="n-above-max"),
+        pytest.param(["converge", "--n-max", "1201"], 2, "--n-max <= 1200",
+                     id="n-max-above-max"),
         pytest.param(CUSTOM + ["--kernel-expr", NAN_KERNEL, "--source-expr", "1.0"],
                      3, "non-finite u_num", id="nan-kernel-solve",
                      marks=pytest.mark.filterwarnings("ignore:collocation system is nearly")),

@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from fbjacobi import volterra_solver
 from fbjacobi.backward_basis import BackwardSpec, fb_nodes
 from fbjacobi.jacobi_core import JacobiParams, gauss_rule
 from fbjacobi.problems import case_i, oracle_kr
 from fbjacobi.special_functions import beta
 from fbjacobi.volterra_solver import (
+    MAX_N,
     CollocationSolution,
     ProblemDefinition,
     SingularMatrixError,
@@ -334,6 +336,14 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "solve", zero_pivot)
         with pytest.raises(SingularMatrixError):
             solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), 4)
+
+    def test_n_above_limit_refused_before_any_rule(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("gauss_rule called above MAX_N")
+
+        monkeypatch.setattr(volterra_solver, "gauss_rule", no_rule)
+        with pytest.raises(ValueError, match="exceeds MAX_N = 1200"):
+            solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), MAX_N + 1)
 
     def test_condition_matches_inverse_norms(self):
         prob = case_i(0.5, math.sqrt(2.0), math.sqrt(3.0))
