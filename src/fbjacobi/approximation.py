@@ -17,6 +17,10 @@ from .jacobi_core import JacobiParams, gauss_rule, jacobi_norm, jacobi_table
 # sidestepping the 0/0 in the barycentric quotient.
 NODE_TOL = 1e-15
 
+# Largest N a node set is built for: the barycentric weights of the N+1 nodes
+# overflow to NaN from N = 1250 (finite up to 1225).
+MAX_N = 1200
+
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     """Second-form barycentric weights for the given z nodes, normalized to
@@ -29,6 +33,15 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     np.fill_diagonal(gaps, 1.0)
     w = 1.0 / np.prod(gaps, axis=1)
     return w / np.max(np.abs(w))
+
+
+def _node_set(spec: BackwardSpec, n: int):
+    """(nodes_z, nodes_t, barycentric weights) of the N+1 mapped Gauss nodes;
+    raises ValueError for N > MAX_N before any rule is built."""
+    if n > MAX_N:
+        raise ValueError(f"N = {n} exceeds MAX_N = {MAX_N}")
+    nodes_z = gauss_rule(spec.params, n + 1).nodes
+    return nodes_z, map_inverse(spec, nodes_z), barycentric_weights(nodes_z)
 
 
 def cardinal_matrix(nodes: np.ndarray, bary: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -128,11 +141,8 @@ def eval_expansion(expansion: Expansion, t):
 
 def interpolate(spec: BackwardSpec, n: int, f) -> Interpolant:
     """Interpolant of f at the N+1 mapped Gauss nodes of the basis family."""
-    rule = gauss_rule(spec.params, n + 1)
-    nodes_z = np.asarray(rule.nodes, dtype=float)
-    nodes_t = map_inverse(spec, nodes_z)
-    values = _sample(f, np.atleast_1d(nodes_t))
-    return Interpolant(spec, nodes_z, nodes_t, values, barycentric_weights(nodes_z))
+    nodes_z, nodes_t, bary = _node_set(spec, n)
+    return Interpolant(spec, nodes_z, nodes_t, _sample(f, nodes_t), bary)
 
 
 def eval_interpolant(ip: Interpolant, t):
@@ -155,8 +165,6 @@ def eval_interpolant(ip: Interpolant, t):
 def weighted_l2_error(spec: BackwardSpec, f, g, quad_size: int) -> float:
     """Weighted L2 distance between f and g under the spec's basis weight,
     integrated in z by a Gauss rule of the given size."""
-    if quad_size < 1:
-        raise ValueError(f"quad_size must be >= 1, got {quad_size}")
     rule = gauss_rule(spec.params, quad_size)
     ts = map_inverse(spec, rule.nodes)
     diff = _sample(f, ts) - _sample(g, ts)
@@ -184,8 +192,6 @@ def lebesgue_constant(spec: BackwardSpec, n: int, samples: int) -> float:
     """Max over a uniform z grid of the summed absolute cardinal functions."""
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    rule = gauss_rule(spec.params, n + 1)
-    bary = barycentric_weights(rule.nodes)
-    zs = np.linspace(0.0, 1.0, samples)
-    h = cardinal_matrix(rule.nodes, bary, zs)
+    nodes_z, _, bary = _node_set(spec, n)
+    h = cardinal_matrix(nodes_z, bary, np.linspace(0.0, 1.0, samples))
     return float(np.max(np.sum(np.abs(h), axis=1)))

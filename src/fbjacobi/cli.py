@@ -15,13 +15,13 @@ import sys
 
 import numpy as np
 
-from .approximation import _sample, eval_grid, linf_error, weighted_l2_error
+from .approximation import MAX_N, _sample, eval_grid, linf_error, weighted_l2_error
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams
 from .problems import case_i, case_ii, example1, regularity_index
 from .selfcheck import run_all
 from .svgplot import render_semilog
-from .volterra_solver import MAX_N, ProblemDefinition, solve
+from .volterra_solver import ProblemDefinition, solve
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -96,20 +96,18 @@ def _check_expr(node, names) -> None:
 
 def _expr_function(expr: str, names):
     """Compile a custom expression in `names` to a scalar function returning
-    float; raises UsageError if it does not parse or leaves the grammar."""
+    float; raises UsageError if it does not parse or leaves the grammar. The
+    checked tree is compiled once, as the body of a lambda of `names`."""
     try:
         tree = ast.parse(expr, "<expr>", "eval")
     except SyntaxError as exc:
         raise UsageError(f"invalid expression {expr!r}: {exc.msg}") from exc
     _check_expr(tree, names)
-    code = compile(tree, "<expr>", "eval")
-
-    def func(*args):
-        scope = {"math": math}
-        scope.update(zip(names, (float(a) for a in args)))
-        return float(eval(code, {"__builtins__": {}}, scope))
-
-    return func
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
+    f = eval(compile(lam, "<expr>", "eval"), {"__builtins__": {}, "math": math})
+    return lambda *a: float(f(*(float(x) for x in a)))
 
 
 def _setup(args):
@@ -136,8 +134,7 @@ def _setup(args):
     kernel = _expr_function(args.kernel_expr, ("t", "p"))
     source = _expr_function(args.source_expr, ("t",))
     exact = None if args.exact_expr is None else _expr_function(args.exact_expr, ("t",))
-    problem = ProblemDefinition(theta=args.theta, kernel=kernel, source=source,
-                                exact=exact, label="custom")
+    problem = ProblemDefinition(theta=args.theta, kernel=kernel, source=source, exact=exact)
     return problem, spec
 
 
@@ -147,9 +144,6 @@ def cmd_solve(args) -> int:
     sol = solve(problem, spec, args.n)
     ts = eval_grid(args.rho, args.eval_points)
     u_num = np.atleast_1d(sol.interpolant(ts))
-    if not np.all(np.isfinite(u_num)):
-        raise ValueError(f"non-finite u_num at {np.count_nonzero(~np.isfinite(u_num))} "
-                         f"of {len(ts)} grid points")
     u_ex = [None] * len(ts) if problem.exact is None else _sample(problem.exact, ts)
     lines = ["t,u_num,u_exact,abs_error"]
     for t, un, ue in zip(ts, u_num, u_ex):
@@ -209,7 +203,7 @@ def cmd_converge(args) -> int:
     _write_text(args.out, _convergence_csv(rows, args.timings))
     if args.svg is not None:
         series = [("linf", [r[1] for r in rows]), ("l2w", [r[2] for r in rows])]
-        title = (f"{problem.label}: theta={args.theta:g}, rho={args.rho:g}, "
+        title = (f"{args.problem}: theta={args.theta:g}, rho={args.rho:g}, "
                  f"mu={args.mu:g}, upsilon={args.upsilon:g}")
         try:
             _write_text(args.svg, render_semilog(ns, series, title))

@@ -14,8 +14,12 @@ import numpy as np
 from .special_functions import beta, log_gamma
 
 
-class QuadratureError(RuntimeError):
-    """Gauss rule construction failed to converge or to validate."""
+class NumericalError(RuntimeError):
+    """The numbers went wrong: a Gauss rule failed to converge or to
+    validate, a source failed at a collocation node, a collocation system or
+    its solution is singular or not finite, or the quadrature oracle failed
+    its doubling check. Input that is refused before numerical work raises
+    ValueError instead."""
 
 
 @dataclass(frozen=True)
@@ -148,15 +152,15 @@ def gauss_rule(params: JacobiParams, m: int) -> QuadratureRule:
     try:
         nodes, vectors = np.linalg.eigh(jac)
     except np.linalg.LinAlgError as exc:
-        raise QuadratureError(
+        raise NumericalError(
             f"eigen-decomposition failed for params {params}, m={m}"
         ) from exc
     weights = mass * vectors[0, :] ** 2
 
     if not (np.all(np.diff(nodes) > 0.0) and nodes[0] > 0.0 and nodes[-1] < 1.0):
-        raise QuadratureError(f"nodes not strictly inside (0,1) for {params}, m={m}")
+        raise NumericalError(f"nodes not strictly inside (0,1) for {params}, m={m}")
     if not np.all(weights > 0.0):
-        raise QuadratureError(f"nonpositive weight for {params}, m={m}")
+        raise NumericalError(f"nonpositive weight for {params}, m={m}")
     if abs(float(weights.sum()) - mass) > 1e-12 * mass:
-        raise QuadratureError(f"weight mass off for {params}, m={m}")
+        raise NumericalError(f"weight mass off for {params}, m={m}")
     return QuadratureRule(params, nodes, weights)

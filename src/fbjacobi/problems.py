@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .approximation import _sample
+from .jacobi_core import NumericalError
 from .special_functions import bessel_j, beta, log_gamma
 from .volterra_solver import ProblemDefinition
 
@@ -23,14 +24,6 @@ from .volterra_solver import ProblemDefinition
 _PANELS = 24
 _POINTS_PER_PANEL = 16
 _GRADING_RATIO = 0.15
-
-
-class OracleAccuracyError(RuntimeError):
-    """Panel doubling moved the oracle value more than the allowed 1e-9."""
-
-
-class SourceValidationError(RuntimeError):
-    """A manufactured source failed its cross-check against the oracle."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,13 +76,13 @@ def _oracle_core(theta: float, w: np.ndarray, kernel, u_w, rule) -> np.ndarray:
 
 def _verified_oracle(theta: float, w: np.ndarray, kernel, u_w) -> np.ndarray:
     """_oracle_core on the doubled panel layout, checked against the standard
-    layout; a shift above 1e-9, or NaN, raises OracleAccuracyError."""
+    layout; a shift above 1e-9, or NaN, raises NumericalError."""
     coarse = _oracle_core(theta, w, kernel, u_w, _panel_rule(_PANELS, _POINTS_PER_PANEL))
     fine = _oracle_core(theta, w, kernel, u_w, _panel_rule(2 * _PANELS, _POINTS_PER_PANEL))
     shift = np.abs(fine - coarse)
     if not np.all(shift <= 1e-9):  # NaN fails too
         i = int(np.argmin(shift <= 1e-9))
-        raise OracleAccuracyError(
+        raise NumericalError(
             f"oracle unstable at 1-t={w[i]:.17g}: doubling panels moved value by "
             f"{shift[i]:.3e}"
         )
@@ -103,7 +96,7 @@ def oracle_kr(u, theta: float, kernel, t):
     shape is returned); u and the kernel are sampled once per panel layout on
     the whole grid when they accept arrays, else point by point. The value
     comes from the doubled panel layout and is checked against the standard
-    one; a shift above 1e-9, or NaN, raises OracleAccuracyError.
+    one; a shift above 1e-9, or NaN, raises NumericalError.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
@@ -138,7 +131,7 @@ def example1(theta: float) -> ProblemDefinition:
 
     The closed form is validated at construction against the quadrature
     oracle (one doubling-checked call over five probe points); a mismatch
-    above 1e-9, or NaN, raises SourceValidationError.
+    above 1e-9, or NaN, raises NumericalError.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
@@ -159,12 +152,10 @@ def example1(theta: float) -> ProblemDefinition:
         half = 0.5 * w
         return float(u_w(w)) - scale * w**nu * math.sin(half) * bessel_j(nu, half)
 
-    prob = ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w, label="example1",
-    )
+    prob = ProblemDefinition(theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w)
     mismatch = _source_mismatch(prob)
     if not mismatch <= 1e-9:  # NaN fails too
-        raise SourceValidationError(
+        raise NumericalError(
             f"closed-form source for theta={theta} is off by {mismatch:.3e} "
             "against the quadrature oracle"
         )
@@ -188,15 +179,13 @@ def case_i(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
             + w**gamma2 - b2 * w ** (1.0 - theta + gamma2)
         )
 
-    return ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w, label="case1",
-    )
+    return ProblemDefinition(theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w)
 
 
 def case_ii(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
     """Terminal-singular solution sin((1-t)^{g1} + (1-t)^{g2}); no closed-form
     source, so g = u - K_R u comes from the oracle, doubling-checked on every
-    call (OracleAccuracyError on a shift above 1e-9 or NaN)."""
+    call (NumericalError on a shift above 1e-9 or NaN)."""
     if not (gamma1 > 0.0 and gamma2 > 0.0):
         raise ValueError("both exponents must be positive")
 
@@ -209,9 +198,7 @@ def case_ii(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
         out = u_w(w) - kr
         return out[()] if out.ndim == 0 else out
 
-    return ProblemDefinition(
-        theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w, label="case2",
-    )
+    return ProblemDefinition(theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w)
 
 
 def regularity_index(gamma1: float, gamma2: float) -> float:

@@ -17,21 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximation import Interpolant, _sample, barycentric_weights, cardinal_matrix
-from .backward_basis import BackwardSpec, map_inverse
-from .jacobi_core import JacobiParams, gauss_rule
-
-# Largest N a system is built for: the barycentric weights of the N+1 nodes
-# overflow to NaN from N = 1250 (finite up to 1225).
-MAX_N = 1200
-
-
-class SingularMatrixError(ArithmeticError):
-    """LAPACK met an exact zero pivot while factoring the collocation matrix."""
-
-
-class SourceEvaluationError(RuntimeError):
-    """The source function failed at a collocation node."""
+from .approximation import Interpolant, _node_set, _sample, cardinal_matrix
+from .backward_basis import BackwardSpec
+from .jacobi_core import JacobiParams, NumericalError, gauss_rule
 
 
 @dataclass(frozen=True)
@@ -52,7 +40,6 @@ class ProblemDefinition:
     exact: object = None
     source_w: object = None
     exact_w: object = None
-    label: str = "custom"
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -141,23 +128,20 @@ class _Assembly:
     """The data of one (problem, spec, N) system: collocation nodes,
     barycentric weights, the (N+1)-point quadrature rule, and on the grid of
     rows i (nodes t_i) by columns k (quadrature points rho_i(eta_k)) the
-    points, their z images and the transformed kernel values."""
+    points, their z images and the transformed kernel values. The node set
+    comes from `approximation._node_set`, so N > MAX_N raises ValueError
+    before any rule is built."""
 
     def __init__(self, problem: ProblemDefinition, spec: BackwardSpec, n: int):
-        if n > MAX_N:
-            raise ValueError(f"N = {n} exceeds MAX_N = {MAX_N}")
         self.problem = problem
         self.n = n
         rho, theta = spec.rho, problem.theta
 
-        rule = gauss_rule(spec.params, n + 1)
-        self.nodes_z = rule.nodes
-        log_w = np.log1p(-rule.nodes) / rho          # log(1 - t_i), exact route
+        self.nodes_z, self.nodes_t, self.bary = _node_set(spec, n)
+        log_w = np.log1p(-self.nodes_z) / rho        # log(1 - t_i), exact route
         self.w_nodes = np.exp(log_w)                 # 1 - t_i, always > 0 here
         if not np.all(self.w_nodes > 0.0):
             raise ValueError("collocation node reached the terminal endpoint")
-        self.nodes_t = map_inverse(spec, rule.nodes)
-        self.bary = barycentric_weights(self.nodes_z)
 
         qrule = gauss_rule(JacobiParams(1.0 / rho - 1.0, -theta), n + 1)
         self.chi = qrule.weights
@@ -198,30 +182,41 @@ def _assemble_from(ctx: _Assembly):
             try:
                 ctx.problem.source_at(t, w)
             except Exception as node_exc:
-                raise SourceEvaluationError(
+                raise NumericalError(
                     f"source evaluation failed at node {i} (t = {float(t)!r})"
                 ) from node_exc
-        raise SourceEvaluationError("source evaluation failed on the node array") from exc
+        raise NumericalError("source evaluation failed on the node array") from exc
     return mat, rhs
+
+
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    bad = np.count_nonzero(~np.isfinite(arr))
+    if bad:
+        raise NumericalError(f"non-finite {name}: {bad} of {arr.size} entries")
 
 
 def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> CollocationSolution:
     """Solve the fully discrete collocation system with LAPACK (LU with
     partial pivoting) and wrap the nodal values in an evaluable interpolant.
 
-    Raises ValueError for N > MAX_N before anything is built, and
-    SingularMatrixError on an exact zero pivot. The diagnostics carry
-    the 1-norm condition number; a value above 1e12, or NaN, sets
+    Raises ValueError for N > MAX_N before anything is built. Raises
+    NumericalError when the source fails at a node, when the matrix or the
+    rhs has a non-finite entry (before LAPACK runs), on an exact zero pivot,
+    and when the solution has a non-finite entry. The diagnostics carry the
+    1-norm condition number; a value above 1e12, or NaN, sets
     `near_singular` and issues a RuntimeWarning.
     """
     t0 = time.perf_counter()
     ctx = _Assembly(problem, spec, n)
     mat, rhs = _assemble_from(ctx)
+    _require_finite("matrix", mat)
+    _require_finite("rhs", rhs)
     t1 = time.perf_counter()
     try:
         values = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("singular collocation matrix: exact zero pivot") from exc
+        raise NumericalError("singular collocation matrix: exact zero pivot") from exc
+    _require_finite("solution", values)
     t2 = time.perf_counter()
 
     cond = float(np.linalg.cond(mat, 1))

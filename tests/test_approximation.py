@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fbjacobi import approximation
 from fbjacobi.approximation import (
+    MAX_N,
     Expansion,
     _sample,
     barycentric_weights,
@@ -154,6 +156,17 @@ class TestInterpolate:
         ref = ip.values[0] * (zm - z1) / (z0 - z1) + ip.values[1] * (zm - z0) / (z1 - z0)
         assert abs(eval_interpolant(ip, t_mid) - ref) <= 1e-15
 
+    def test_n_above_limit_refused_before_any_rule(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("gauss_rule called above MAX_N")
+
+        monkeypatch.setattr(approximation, "gauss_rule", no_rule)
+        s = spec_of(-0.5, -0.5, 1.0)
+        with pytest.raises(ValueError, match="exceeds MAX_N = 1200"):
+            interpolate(s, MAX_N + 1, np.cos)
+        with pytest.raises(ValueError, match="exceeds MAX_N = 1200"):
+            lebesgue_constant(s, MAX_N + 1, 11)
+
     def test_degree_600_weights_are_finite(self):
         # the product of N node gaps underflowed to 0 from N ~ 520 on
         s = spec_of(-0.5, -0.5, 0.5)
@@ -285,6 +298,8 @@ class TestErrorNorms:
     def test_samples_validation(self):
         with pytest.raises(ValueError):
             eval_grid(0.5, 1)
+        with pytest.raises(ValueError):
+            weighted_l2_error(spec_of(0, 0, 1.0), np.cos, np.cos, 0)
 
 
 class TestLebesgue:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.special
 
+import fbjacobi
 from fbjacobi.jacobi_core import (
     JacobiParams,
+    NumericalError,
     QuadratureRule,
     gauss_rule,
     jacobi_eval,
@@ -182,6 +184,14 @@ class TestGaussRule:
         scale = 2.0 ** (params.mu + params.upsilon + 1.0)
         assert np.max(np.abs(rule.weights - w_ref / scale)) <= 5e-12 * np.max(rule.weights)
 
+    def test_eigh_failure_is_numerical_error(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalError, match="eigen-decomposition failed"):
+            gauss_rule(JacobiParams(0, 0), 3)
+
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             gauss_rule(JacobiParams(0, 0), 0)
@@ -190,3 +200,8 @@ class TestGaussRule:
         rule = gauss_rule(JacobiParams(0, 0), 3)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+
+def test_numerical_error_is_exported():
+    assert fbjacobi.NumericalError is NumericalError
+    assert issubclass(NumericalError, RuntimeError)

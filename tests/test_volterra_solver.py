@@ -4,17 +4,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from fbjacobi import volterra_solver
+from fbjacobi import approximation, volterra_solver
+from fbjacobi.approximation import MAX_N
 from fbjacobi.backward_basis import BackwardSpec, fb_nodes
-from fbjacobi.jacobi_core import JacobiParams, gauss_rule
+from fbjacobi.jacobi_core import JacobiParams, NumericalError, gauss_rule
 from fbjacobi.problems import case_i, oracle_kr
 from fbjacobi.special_functions import beta
 from fbjacobi.volterra_solver import (
-    MAX_N,
     CollocationSolution,
     ProblemDefinition,
-    SingularMatrixError,
-    SourceEvaluationError,
     assemble,
     discrete_operator,
     kernel_transform,
@@ -224,7 +222,7 @@ class TestAssemble:
                 return 1.0
 
             prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source=bad_source)
-            with pytest.raises(SourceEvaluationError) as info:
+            with pytest.raises(NumericalError, match="source evaluation failed") as info:
                 assemble(prob, spec, n)
             message = str(info.value)
             assert f"node {first} (t = {float(nodes[first])!r})" in message
@@ -334,7 +332,7 @@ class TestSolve:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", zero_pivot)
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NumericalError, match="singular collocation matrix"):
             solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), 4)
 
     def test_n_above_limit_refused_before_any_rule(self, monkeypatch):
@@ -342,6 +340,7 @@ class TestSolve:
             raise AssertionError("gauss_rule called above MAX_N")
 
         monkeypatch.setattr(volterra_solver, "gauss_rule", no_rule)
+        monkeypatch.setattr(approximation, "gauss_rule", no_rule)
         with pytest.raises(ValueError, match="exceeds MAX_N = 1200"):
             solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), MAX_N + 1)
 
@@ -357,15 +356,36 @@ class TestSolve:
         cond = solve(prob, spec, n).diagnostics.condition
         assert abs(cond - ref) <= 1e-10 * ref
 
-    def test_nan_condition_is_near_singular(self):
-        # the kernel passes the construction probes but is NaN at some
-        # quadrature points, so the matrix and its condition number are NaN
-        prob = ProblemDefinition(theta=0.5, source=lambda t: 1.0,
-                                 kernel=lambda t, p: math.nan if 0.9 < p < 0.95 else 1.0)
+    def test_nan_condition_is_near_singular(self, monkeypatch):
+        # a finite system whose condition estimate comes out NaN
+        monkeypatch.setattr(np.linalg, "cond", lambda a, p: math.nan)
         with pytest.warns(RuntimeWarning, match="nearly singular"):
-            sol = solve(prob, spec_of(-0.25, -0.25, 0.5), 16)
+            sol = solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), 16)
         assert math.isnan(sol.diagnostics.condition)
         assert sol.diagnostics.near_singular is True
+
+    # the NaN kernel passes the construction probes but is NaN at some
+    # quadrature points, so the matrix has NaN entries
+    @pytest.mark.parametrize("kernel, source_w, message", [
+        (lambda t, p: math.nan if 0.9 < p < 0.95 else 1.0, lambda w: 1.0 + 0.0 * w,
+         r"^non-finite matrix: \d+ of 289 entries$"),
+        (lambda t, p: 1.0, lambda w: np.where(w < 0.5, math.inf, 1.0),
+         r"^non-finite rhs: \d+ of 17 entries$"),
+    ], ids=["nan-kernel", "inf-source"])
+    def test_non_finite_system_refused_before_lapack(self, monkeypatch, kernel,
+                                                     source_w, message):
+        def no_lapack(a, b):
+            raise AssertionError("np.linalg.solve called on a non-finite system")
+
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        prob = ProblemDefinition(theta=0.5, kernel=kernel, source_w=source_w)
+        with pytest.raises(NumericalError, match=message):
+            solve(prob, spec_of(-0.25, -0.25, 0.5), 16)
+
+    def test_non_finite_solution_raises(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, math.nan))
+        with pytest.raises(NumericalError, match=r"^non-finite solution: 17 of 17 entries$"):
+            solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), 16)
 
     def test_array_kernel_matches_scalar_kernel(self):
         calls = []
