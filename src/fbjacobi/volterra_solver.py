@@ -6,8 +6,13 @@ integration variable through the same backward transformation that generates
 the basis, so the discrete operator is a plain Gauss sum. Assembly works with
 the z-space nodes and the exact distances 1 - t, which stay meaningful even
 where t itself rounds to 1. The kernel is sampled once on the whole grid of
-(node, quadrature point) pairs, and the dense system is solved and its 1-norm
-condition number computed with LAPACK through numpy.
+(node, quadrature point) pairs. Each row of the matrix then takes one pass:
+the reciprocal gaps between its quadrature points and the nodes fill one
+reused buffer, and two matrix-vector products give the barycentric
+denominators and the row. A row with a quadrature point exactly on a node
+(an infinite reciprocal) is built through `approximation.cardinal_matrix`
+instead. The dense system is solved and its 1-norm condition number computed
+with LAPACK through numpy.
 """
 
 import math
@@ -109,21 +114,6 @@ def singular_ratio(rho: float, eta):
     return np.where(small, taylor, direct)[()]
 
 
-def kernel_transform(problem: ProblemDefinition, spec: BackwardSpec,
-                     t_i: float, eta: float) -> float:
-    """Transformed kernel value at collocation point t_i and quadrature
-    variable eta: ((1-t_i)^{1-theta}/rho) * ratio(eta)^{-theta} * K(t_i, rho_i(eta))."""
-    if t_i >= 1.0:
-        raise ValueError(f"kernel transform requires t_i < 1, got {t_i}")
-    if not (0.0 <= eta < 1.0):
-        raise ValueError(f"eta must lie in [0,1), got {eta}")
-    w = 1.0 - t_i
-    s_eta = -math.expm1(math.log1p(-eta) / spec.rho) if eta > 0.0 else 0.0
-    varrho = t_i + w * s_eta
-    factor = singular_ratio(spec.rho, eta) ** (-problem.theta)
-    return w ** (1.0 - problem.theta) / spec.rho * factor * float(problem.kernel(t_i, varrho))
-
-
 class _Assembly:
     """The data of one (problem, spec, N) system: collocation nodes,
     barycentric weights, the (N+1)-point quadrature rule, and on the grid of
@@ -153,27 +143,31 @@ class _Assembly:
                      * singular_ratio(rho, qrule.nodes) ** (-theta) * kernel)
 
 
-def discrete_operator(problem: ProblemDefinition, spec: BackwardSpec, n: int,
-                      phi, i: int) -> float:
-    """(N+1)-point Gauss approximation of the adjoint integral operator
-    applied to phi, evaluated at collocation node i of the degree-N node set."""
-    ctx = _Assembly(problem, spec, n)
-    return float(np.dot(ctx.chi, ctx.kbar[i] * _sample(phi, ctx.quad_t[i])))
-
-
-def assemble(problem: ProblemDefinition, spec: BackwardSpec, n: int):
-    """Collocation matrix (identity minus discrete operator on the cardinal
-    basis) and right-hand side of source values at the nodes."""
-    ctx = _Assembly(problem, spec, n)
-    return _assemble_from(ctx)
-
-
 def _assemble_from(ctx: _Assembly):
+    """Collocation matrix (identity minus the discrete operator on the
+    cardinal basis) and right-hand side (source values at the nodes).
+
+    Row i weighs the cardinal functions at its quadrature points z_ik, the
+    barycentric quotients (b_j / (z_ik - z_j)) / sum_l b_l / (z_ik - z_l).
+    One reused buffer R holds the reciprocal gaps 1 / (z_ik - z_j), so a row
+    is two matrix-vector products: s = R b, then ((chi kbar_i / s) R) * b.
+    An exact zero gap makes s non-finite; only such a row is taken through
+    `cardinal_matrix`, which gives a point on a node that node's exact
+    cardinal values.
+    """
     n = ctx.n
     mat = np.eye(n + 1)
+    recip = np.empty((n + 1, n + 1))
     for i in range(n + 1):
-        h = cardinal_matrix(ctx.nodes_z, ctx.bary, ctx.quad_z[i])
-        mat[i, :] -= (ctx.chi * ctx.kbar[i]) @ h
+        weights = ctx.chi * ctx.kbar[i]
+        np.subtract(ctx.quad_z[i][:, None], ctx.nodes_z, out=recip)
+        with np.errstate(all="ignore"):  # a non-finite s is handled below
+            np.reciprocal(recip, out=recip)
+            s = recip @ ctx.bary
+        if np.isfinite(s).all():
+            mat[i] -= ((weights / s) @ recip) * ctx.bary
+        else:
+            mat[i] -= weights @ cardinal_matrix(ctx.nodes_z, ctx.bary, ctx.quad_z[i])
     try:
         rhs = ctx.problem.source_at(ctx.nodes_t, ctx.w_nodes)
     except Exception as exc:

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from fbjacobi import approximation, volterra_solver
-from fbjacobi.approximation import MAX_N
+from fbjacobi.approximation import MAX_N, cardinal_matrix
 from fbjacobi.backward_basis import BackwardSpec, fb_nodes
 from fbjacobi.jacobi_core import JacobiParams, NumericalError, gauss_rule
 from fbjacobi.problems import case_i, oracle_kr
@@ -13,12 +14,13 @@ from fbjacobi.special_functions import beta
 from fbjacobi.volterra_solver import (
     CollocationSolution,
     ProblemDefinition,
-    assemble,
-    discrete_operator,
-    kernel_transform,
+    _assemble_from,
+    _Assembly,
     singular_ratio,
     solve,
 )
+
+EPS = np.finfo(float).eps
 
 
 def spec_of(mu, up, rho):
@@ -27,6 +29,44 @@ def spec_of(mu, up, rho):
 
 def unit_problem(theta):
     return ProblemDefinition(theta=theta, kernel=lambda t, p: 1.0, source=lambda t: 0.0)
+
+
+def assemble(problem, spec, n):
+    return _assemble_from(_Assembly(problem, spec, n))
+
+
+def apply_operator(ctx, phi, i):
+    """The discrete operator applied to phi (an array callable) at node i."""
+    return float(ctx.chi @ (ctx.kbar[i] * phi(ctx.quad_t[i])))
+
+
+def kernel_transform(problem, spec, t_i, eta):
+    """Scalar reference for one entry of `_Assembly.kbar`: the transformed
+    kernel ((1-t_i)^{1-theta}/rho) * (s(eta)/eta)^{-theta} * K(t_i, rho_i(eta))
+    at collocation point t_i and quadrature variable eta, with
+    s(eta) = 1 - (1-eta)^{1/rho} and rho_i(eta) = t_i + (1-t_i) s(eta)."""
+    w = 1.0 - t_i
+    s_eta = -math.expm1(math.log1p(-eta) / spec.rho)
+    ratio = s_eta / eta if eta > 0.0 else 1.0 / spec.rho
+    varrho = t_i + w * s_eta
+    return (w ** (1.0 - problem.theta) / spec.rho * ratio ** (-problem.theta)
+            * float(problem.kernel(t_i, varrho)))
+
+
+def cardinal_reference(ctx):
+    """The collocation matrix assembled row by row from `cardinal_matrix`."""
+    mat = np.eye(ctx.n + 1)
+    for i in range(ctx.n + 1):
+        mat[i] -= (ctx.chi * ctx.kbar[i]) @ cardinal_matrix(ctx.nodes_z, ctx.bary,
+                                                            ctx.quad_z[i])
+    return mat
+
+
+def assert_rows_close(mat, ref):
+    """Each row within 4 eps of that row's largest entry."""
+    row_err = np.max(np.abs(mat - ref), axis=1)
+    bound = 4.0 * EPS * np.max(np.abs(ref), axis=1)
+    assert np.all(row_err <= bound), np.max(row_err / bound)
 
 
 class TestProblemDefinition:
@@ -87,11 +127,10 @@ class TestKernelTransform:
                                   [singular_ratio(rho, e) for e in etas])
 
     def test_unit_rho_middle_factor_is_one(self):
-        prob = unit_problem(0.5)
-        spec = spec_of(-0.25, -0.25, 1.0)
-        for eta in (0.1, 0.5, 0.9):
-            val = kernel_transform(prob, spec, 0.25, eta)
-            assert abs(val - (0.75) ** 0.5) <= 1e-14
+        # for rho = 1 the bounded factor is 1, so kbar_ik = (1 - t_i)^{1/2}
+        ctx = _Assembly(unit_problem(0.5), spec_of(-0.25, -0.25, 1.0), 6)
+        ref = np.broadcast_to(ctx.w_nodes[:, None] ** 0.5, ctx.kbar.shape)
+        assert np.max(np.abs(ctx.kbar - ref)) <= 1e-14
 
     def test_transform_value(self):
         # rho=1/2, theta=1/2, K=1, t=0, eta=3/4:
@@ -100,49 +139,54 @@ class TestKernelTransform:
         spec = spec_of(-0.25, -0.25, 0.5)
         ref = 2.0 * (5.0 / 4.0) ** -0.5
         assert abs(kernel_transform(prob, spec, 0.0, 0.75) - ref) <= 1e-14 * ref
+        # on the solver's grid the ratio is (1-(1-eta)^2)/eta = 2 - eta, so
+        # kbar_ik = 2 (1-t_i)^{1/2} (2 - eta_k)^{-1/2}
+        n = 8
+        ctx = _Assembly(prob, spec, n)
+        eta = gauss_rule(JacobiParams(1.0 / 0.5 - 1.0, -0.5), n + 1).nodes
+        ref = 2.0 * ctx.w_nodes[:, None] ** 0.5 * (2.0 - eta) ** -0.5
+        assert np.max(np.abs(ctx.kbar - ref) / ref) <= 1e-14
 
-    def test_terminal_point_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_transform(unit_problem(0.5), spec_of(0, 0, 0.5), 1.0, 0.5)
-        with pytest.raises(ValueError):
-            kernel_transform(unit_problem(0.5), spec_of(0, 0, 0.5), 0.5, 1.0)
+    def test_terminal_point_rejected(self, monkeypatch):
+        # a node whose 1 - t underflows to 0 at small rho is the terminal point
+        spec = spec_of(0, 0, 0.01)
+        nodes_z = np.array([0.5, np.nextafter(1.0, 0.0)])
+        monkeypatch.setattr(volterra_solver, "_node_set",
+                            lambda spec, n: (nodes_z, 1.0 - (1.0 - nodes_z) ** 100,
+                                             np.array([1.0, -1.0])))
+        with pytest.raises(ValueError, match="terminal endpoint"):
+            _Assembly(unit_problem(0.5), spec, 1)
 
     def test_transform_reproduces_integral(self):
         # summing the transformed kernel against the Jacobi rule reproduces
         # int_t^1 (p-t)^{-theta} dp = (1-t)^{1-theta}/(1-theta)
         prob = unit_problem(0.5)
         for rho in (1.0, 0.5):
-            spec = spec_of(-0.25, -0.25, rho)
-            rule = gauss_rule(JacobiParams(1.0 / rho - 1.0, -prob.theta), 12)
-            for t in (0.0, 0.4):
-                got = sum(
-                    w * kernel_transform(prob, spec, t, float(e))
-                    for e, w in zip(rule.nodes, rule.weights)
-                )
-                ref = (1.0 - t) ** 0.5 / 0.5
-                assert abs(got - ref) <= 1e-12 * ref
+            ctx = _Assembly(prob, spec_of(-0.25, -0.25, rho), 11)
+            got = ctx.kbar @ ctx.chi
+            ref = ctx.w_nodes ** 0.5 / 0.5
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
 
 class TestDiscreteOperator:
     def test_zero_function(self):
-        prob = unit_problem(0.5)
-        spec = spec_of(-0.25, -0.25, 0.5)
-        assert discrete_operator(prob, spec, 6, lambda p: 0.0, 3) == 0.0
+        ctx = _Assembly(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), 6)
+        assert apply_operator(ctx, np.zeros_like, 3) == 0.0
 
     def test_constant_against_weight_mass(self):
         # with K=1 the rule integrates constants exactly:
         # value at node i is (1-t_i)^{1-theta} * B(1, 1-theta) for rho=1
-        prob = unit_problem(0.5)
         spec = spec_of(-0.25, -0.25, 1.0)
+        ctx = _Assembly(unit_problem(0.5), spec, 6)
         nodes = fb_nodes(spec, 6)
         for i in (0, 3, 6):
-            got = discrete_operator(prob, spec, 6, lambda p: 1.0, i)
+            got = apply_operator(ctx, np.ones_like, i)
             ref = 2.0 * (1.0 - nodes[i]) ** 0.5
             assert abs(got - ref) <= 1e-13 * ref
 
     def test_polynomial_against_beta_closed_form(self):
-        # int_{1/4}^1 (p-1/4)^{-1/2} (1-p)^2 dp = (3/4)^{5/2} B(1/2, 3),
-        # cross-checked against adaptive quadrature
+        # int_t^1 (p-t)^{-1/2} (1-p)^2 dp = (1-t)^{5/2} B(1/2, 3),
+        # cross-checked against adaptive quadrature at t = 1/4
         ref = (0.75) ** 2.5 * beta(0.5, 3.0)
         with mpmath.workdps(30):
             ada = float(
@@ -152,23 +196,23 @@ class TestDiscreteOperator:
                 )
             )
         assert abs(ref - ada) <= 1e-12 * ref
-        prob = unit_problem(0.5)
-        spec = spec_of(-0.25, -0.25, 1.0)
-        rule = gauss_rule(JacobiParams(0.0, -0.5), 5)
-        got = sum(
-            w * kernel_transform(prob, spec, 0.25, float(e)) * (1.0 - (0.25 + 0.75 * float(e))) ** 2
-            for e, w in zip(rule.nodes, rule.weights)
-        )
-        assert abs(got - ref) <= 1e-13 * ref
+        # a 5-point rule is exact for the quadratic in eta; at rho = 1 the
+        # quadrature points are t_i + (1 - t_i) eta_k
+        ctx = _Assembly(unit_problem(0.5), spec_of(-0.25, -0.25, 1.0), 4)
+        for i in range(5):
+            got = apply_operator(ctx, lambda p: (1.0 - p) ** 2, i)
+            ref = ctx.w_nodes[i] ** 2.5 * beta(0.5, 3.0)
+            assert abs(got - ref) <= 1e-13 * ref
 
     def test_refinement_consistency_for_entire_integrands(self):
         for theta, rho in ((0.5, 1.0), (0.5, 0.5), (2.0 / 3.0, 1.0 / 3.0)):
             prob = unit_problem(theta)
             spec = spec_of(-0.25, -0.25, rho)
             n = 24
+            ctx = _Assembly(prob, spec, n)
             nodes = fb_nodes(spec, n)
             for i in (0, 12, 24):
-                a = discrete_operator(prob, spec, n, math.exp, i)
+                a = apply_operator(ctx, np.exp, i)
                 b = oracle_kr(math.exp, theta, prob.kernel, float(nodes[i]))
                 assert abs(a - b) < 1e-8
 
@@ -182,10 +226,11 @@ class TestDiscreteOperator:
         n = 8
         rule = gauss_rule(JacobiParams(1.0 / 0.5 - 1.0, -0.4), n + 1)
         nodes = fb_nodes(spec, n)
+        ctx = _Assembly(prob, spec, n)
         for i in (0, 4, 8):
             ref = sum(w * kernel_transform(prob, spec, float(nodes[i]), float(e))
                       for e, w in zip(rule.nodes, rule.weights))
-            got = discrete_operator(prob, spec, n, lambda p: 1.0, i)
+            got = apply_operator(ctx, np.ones_like, i)
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
@@ -205,8 +250,9 @@ class TestAssemble:
         n = 9
         mat, _ = assemble(prob, spec, n)
         operator_part = np.eye(n + 1) - mat
+        ctx = _Assembly(prob, spec, n)
         for i in range(n + 1):
-            ref = discrete_operator(prob, spec, n, lambda p: 1.0, i)
+            ref = apply_operator(ctx, np.ones_like, i)
             assert abs(operator_part[i, :].sum() - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_source_failure_reports_node(self):
@@ -227,6 +273,32 @@ class TestAssemble:
             message = str(info.value)
             assert f"node {first} (t = {float(nodes[first])!r})" in message
             assert "np.float64" not in message
+
+    @pytest.mark.parametrize("n", [8, 64, 200])
+    @pytest.mark.parametrize("mu, up, rho", [(-0.5, -0.5, 0.5), (0.5, -0.25, 1.0 / 3.0)])
+    def test_rows_match_cardinal_matrix_reference(self, n, mu, up, rho):
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(mu, up, rho), n)
+        assert_rows_close(_assemble_from(ctx)[0], cardinal_reference(ctx))
+
+    def test_node_hit_row_falls_back_to_cardinal_matrix(self):
+        # a quadrature point exactly on a node: its reciprocal gap is infinite,
+        # and only the cardinal_matrix fallback gives a finite row
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), 8)
+        i, k, j = 3, 2, 5
+        ctx.quad_z[i, k] = ctx.nodes_z[j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mat, _ = _assemble_from(ctx)
+        assert np.all(np.isfinite(mat[i]))
+        assert_rows_close(mat, cardinal_reference(ctx))
+
+    def test_hit_free_system_never_takes_the_fallback(self, monkeypatch):
+        def no_fallback(*args):
+            raise AssertionError("cardinal_matrix called for a hit-free row")
+
+        monkeypatch.setattr(volterra_solver, "cardinal_matrix", no_fallback)
+        sol = solve(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), 64)
+        assert np.all(np.isfinite(sol.values))
 
 
 class TestSolve:
@@ -272,11 +344,12 @@ class TestSolve:
         spec = spec_of(-0.5, -0.5, 0.5)
         n = 12
         sol = solve(prob, spec, n)
+        ctx = _Assembly(prob, spec, n)
         scale = 1.0 + float(np.max(np.abs(sol.values)))
         for i in range(n + 1):
             lhs = sol.values[i]
-            rhs = prob.source_at(sol.nodes_t[i], 1.0 - sol.nodes_t[i]) + discrete_operator(
-                prob, spec, n, sol.interpolant, i
+            rhs = prob.source_at(sol.nodes_t[i], 1.0 - sol.nodes_t[i]) + apply_operator(
+                ctx, sol.interpolant, i
             )
             assert abs(lhs - rhs) <= 1e-10 * scale
         assert sol.diagnostics.residual <= 1e-10 * scale
