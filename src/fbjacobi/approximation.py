@@ -13,10 +13,6 @@ import numpy as np
 from .backward_basis import BackwardSpec, map_forward, map_inverse
 from .jacobi_core import JacobiParams, gauss_rule, jacobi_norm, jacobi_table
 
-# Below this distance in z a sample point is treated as lying on a node,
-# sidestepping the 0/0 in the barycentric quotient.
-NODE_TOL = 1e-15
-
 # Largest N a node set is built for: the barycentric weights of the N+1 nodes
 # overflow to NaN from N = 1250 (finite up to 1225).
 MAX_N = 1200
@@ -45,18 +41,19 @@ def _node_set(spec: BackwardSpec, n: int):
 
 
 def cardinal_matrix(nodes: np.ndarray, bary: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Cardinal functions on a z grid; rows index grid points, columns nodes."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    diff = zs[:, None] - nodes[None, :]
-    hits = np.abs(diff) < NODE_TOL
+    """Cardinal functions on a 1-D z grid; rows index grid points, columns nodes.
+
+    A point exactly on a node, the only 0/0 of the barycentric quotient, gets
+    that node's unit row. Any other point, however close to a node, takes the
+    quotient itself, which is forward stable right up to an exact hit.
+    """
+    diff = np.asarray(zs, dtype=float)[:, None] - nodes
+    hits = diff == 0.0
     diff[hits] = 1.0
-    ratios = bary[None, :] / diff
+    ratios = bary / diff
     out = ratios / ratios.sum(axis=1, keepdims=True)
     rows = hits.any(axis=1)
-    if rows.any():
-        out[rows] = 0.0
-        idx = np.argmax(hits[rows], axis=1)
-        out[np.nonzero(rows)[0], idx] = 1.0
+    out[rows] = hits[rows]
     return out
 
 
@@ -131,12 +128,11 @@ def project(spec: BackwardSpec, n: int, f) -> Expansion:
 
 
 def eval_expansion(expansion: Expansion, t):
-    """Expansion value at t (a float for a scalar t, else an array of t's
-    shape), summed over the Jacobi table in z."""
-    x = 2.0 * map_forward(expansion.spec, np.asarray(t, dtype=float)) - 1.0
+    """Expansion value at t (a numpy float64 for a scalar t, else an array of
+    t's shape), summed over the Jacobi table in z."""
+    x = 2.0 * map_forward(expansion.spec, t) - 1.0
     c = expansion.coeffs
-    out = np.tensordot(c, jacobi_table(expansion.spec.params, len(c) - 1, x), axes=1)
-    return float(out) if out.ndim == 0 else out
+    return np.tensordot(c, jacobi_table(expansion.spec.params, len(c) - 1, x), axes=1)[()]
 
 
 def interpolate(spec: BackwardSpec, n: int, f) -> Interpolant:
@@ -146,8 +142,8 @@ def interpolate(spec: BackwardSpec, n: int, f) -> Interpolant:
 
 
 def eval_interpolant(ip: Interpolant, t):
-    """Interpolant value at t (a scalar, or an array of t's shape); nodal
-    inputs reproduce the stored values exactly."""
+    """Interpolant value at t (a numpy float64 for a scalar t, else an array
+    of t's shape); nodal inputs reproduce the stored values exactly."""
     arr = np.asarray(t, dtype=float)
     flat = arr.ravel()
     zs = map_forward(ip.spec, flat)
@@ -159,7 +155,7 @@ def eval_interpolant(ip: Interpolant, t):
     for j, tj in enumerate(ip.nodes_t):
         if tj != 1.0:
             out[flat == tj] = ip.values[j]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return out.reshape(arr.shape)[()]
 
 
 def weighted_l2_error(spec: BackwardSpec, f, g, quad_size: int) -> float:
@@ -189,9 +185,8 @@ def linf_error(f, g, samples: int, rho: float = 1.0) -> float:
 
 
 def lebesgue_constant(spec: BackwardSpec, n: int, samples: int) -> float:
-    """Max over a uniform z grid of the summed absolute cardinal functions."""
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
+    """Max over a uniform z grid of the summed absolute cardinal functions
+    (exactly 1 for N = 0, a single node)."""
     nodes_z, _, bary = _node_set(spec, n)
     h = cardinal_matrix(nodes_z, bary, np.linspace(0.0, 1.0, samples))
     return float(np.max(np.sum(np.abs(h), axis=1)))

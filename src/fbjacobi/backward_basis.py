@@ -4,7 +4,8 @@ collocation nodes.
 
 Everything polynomial happens in the z variable; t enters only at the
 user-facing evaluation boundary, so the basis stays accurate arbitrarily
-close to t = 1.
+close to t = 1. Every function of t or z follows numpy's scalar rule: an
+array gives an array of its shape, a scalar gives a numpy float64.
 """
 
 from dataclasses import dataclass
@@ -29,17 +30,10 @@ class BackwardSpec:
         return BackwardSpec(self.params.shifted(k), self.rho)
 
 
-def _as_float_or_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def map_forward(spec: BackwardSpec, t):
     """z(t) = 1 - (1-t)^rho; monotone on [0,1], fixing both endpoints."""
-    arr, scalar = _as_float_or_array(t)
     with np.errstate(divide="ignore"):
-        z = -np.expm1(spec.rho * np.log1p(-arr))
-    return float(z) if scalar else z
+        return -np.expm1(spec.rho * np.log1p(-np.asarray(t, dtype=float)))
 
 
 def map_inverse(spec: BackwardSpec, z):
@@ -48,44 +42,33 @@ def map_inverse(spec: BackwardSpec, z):
     Computed through expm1/log1p; when (1-z)^{1/rho} underflows the result
     is exactly 1.0, which is the intended terminal-endpoint convention.
     """
-    arr, scalar = _as_float_or_array(z)
     with np.errstate(divide="ignore"):
-        t = -np.expm1(np.log1p(-arr) / spec.rho)
-    return float(t) if scalar else t
+        return -np.expm1(np.log1p(-np.asarray(z, dtype=float)) / spec.rho)
 
 
 def fb_eval(spec: BackwardSpec, r: int, t):
     """Backward basis function of degree r: P_r^{mu,upsilon}(1 - 2(1-t)^rho)."""
-    arr, scalar = _as_float_or_array(t)
-    x = 2.0 * map_forward(spec, arr) - 1.0
-    val = jacobi_eval(spec.params, r, x)
-    return float(val) if scalar else val
+    return jacobi_eval(spec.params, r, 2.0 * map_forward(spec, t) - 1.0)
 
 
 def fb_weight(spec: BackwardSpec, t):
     """Orthogonality weight rho (1-t)^{rho(mu+1)-1} (1-(1-t)^rho)^upsilon."""
-    arr, scalar = _as_float_or_array(t)
-    one_minus = 1.0 - arr
-    z = map_forward(spec, arr)
-    val = (
+    one_minus = 1.0 - np.asarray(t, dtype=float)
+    return (
         spec.rho
         * one_minus ** (spec.rho * (spec.params.mu + 1.0) - 1.0)
-        * z ** spec.params.upsilon
+        * map_forward(spec, t) ** spec.params.upsilon
     )
-    return float(val) if scalar else val
 
 
 def fb_weight_tilde(spec: BackwardSpec, t):
     """Derivative-side weight rho^{-1} (1-t)^{rho mu + 1} (1-(1-t)^rho)^{upsilon+1}."""
-    arr, scalar = _as_float_or_array(t)
-    one_minus = 1.0 - arr
-    z = map_forward(spec, arr)
-    val = (
+    one_minus = 1.0 - np.asarray(t, dtype=float)
+    return (
         one_minus ** (spec.rho * spec.params.mu + 1.0)
-        * z ** (spec.params.upsilon + 1.0)
+        * map_forward(spec, t) ** (spec.params.upsilon + 1.0)
         / spec.rho
     )
-    return float(val) if scalar else val
 
 
 def deriv_factor(spec: BackwardSpec, r: int, k: int) -> float:
@@ -123,7 +106,7 @@ def sturm_liouville_apply(spec: BackwardSpec, r: int, t):
     eigenrelation can be verified as a runtime diagnostic.
     """
     if r < 1:
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
+        return np.zeros(np.shape(t))[()]
     z = map_forward(spec, t)
     mu, up = spec.params.mu, spec.params.upsilon
     out = ((mu + 1.0) * z - (up + 1.0) * (1.0 - z)) * fb_deriv_eval(spec, r, 1, t)

@@ -13,8 +13,6 @@ import ast
 import math
 import sys
 
-import numpy as np
-
 from .approximation import MAX_N, _sample, eval_grid, linf_error, weighted_l2_error
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams
@@ -143,7 +141,7 @@ def cmd_solve(args) -> int:
     problem, spec = _setup(args)
     sol = solve(problem, spec, args.n)
     ts = eval_grid(args.rho, args.eval_points)
-    u_num = np.atleast_1d(sol.interpolant(ts))
+    u_num = sol.interpolant(ts)
     u_ex = [None] * len(ts) if problem.exact is None else _sample(problem.exact, ts)
     lines = ["t,u_num,u_exact,abs_error"]
     for t, un, ue in zip(ts, u_num, u_ex):

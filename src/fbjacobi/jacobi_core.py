@@ -48,7 +48,6 @@ class QuadratureRule:
     integrates polynomials up to degree 2M-1 exactly.
     """
 
-    params: JacobiParams
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -163,4 +162,4 @@ def gauss_rule(params: JacobiParams, m: int) -> QuadratureRule:
         raise NumericalError(f"nonpositive weight for {params}, m={m}")
     if abs(float(weights.sum()) - mass) > 1e-12 * mass:
         raise NumericalError(f"weight mass off for {params}, m={m}")
-    return QuadratureRule(params, nodes, weights)
+    return QuadratureRule(nodes, weights)

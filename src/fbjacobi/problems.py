@@ -92,11 +92,11 @@ def _verified_oracle(theta: float, w: np.ndarray, kernel, u_w) -> np.ndarray:
 def oracle_kr(u, theta: float, kernel, t):
     """High-accuracy value of int_t^1 (rho-t)^{-theta} K(t,rho) u(rho) drho.
 
-    t may be a scalar (a float is returned) or an array (an array of its
-    shape is returned); u and the kernel are sampled once per panel layout on
-    the whole grid when they accept arrays, else point by point. The value
-    comes from the doubled panel layout and is checked against the standard
-    one; a shift above 1e-9, or NaN, raises NumericalError.
+    t may be a scalar (a numpy float64 is returned) or an array (an array of
+    its shape is returned); u and the kernel are sampled once per panel
+    layout on the whole grid when they accept arrays, else point by point.
+    The value comes from the doubled panel layout and is checked against the
+    standard one; a shift above 1e-9, or NaN, raises NumericalError.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
@@ -108,7 +108,7 @@ def oracle_kr(u, theta: float, kernel, t):
         return u(1.0 - w_rho)
 
     vals = _verified_oracle(theta, 1.0 - t.ravel(), kernel, u_w)
-    return float(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
+    return vals.reshape(t.shape)[()]
 
 
 def _unit_kernel(t, varrho):
@@ -143,8 +143,7 @@ def example1(theta: float) -> ProblemDefinition:
         # w^{-theta} sin(w) written as w^{1-theta} * sinc so the limit at the
         # terminal endpoint is 0, not 0 * inf.
         out = np.where(w > 0.0, w, 1.0) ** (1.0 - theta) * np.sinc(w / np.pi)
-        out = np.where(w > 0.0, out, 0.0)
-        return out[()] if out.ndim == 0 else out
+        return np.where(w > 0.0, out, 0.0)[()]
 
     def g_w(w: float) -> float:
         if w <= 0.0:
@@ -195,8 +194,7 @@ def case_ii(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
     def g_w(w):
         w = np.asarray(w, dtype=float)
         kr = _verified_oracle(theta, w.ravel(), _unit_kernel, u_w).reshape(w.shape)
-        out = u_w(w) - kr
-        return out[()] if out.ndim == 0 else out
+        return (u_w(w) - kr)[()]
 
     return ProblemDefinition(theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w)
 

@@ -65,7 +65,7 @@ class ProblemDefinition:
 
     def source_at(self, t, w):
         """Source values at t (scalars or arrays, with w = 1 - t), read from
-        the w-form when there is one; a float for scalar input."""
+        the w-form when there is one; a numpy float64 for scalar input."""
         if self.source_w is not None:
             return _sample(self.source_w, w)[()]
         return _sample(self.source, t)[()]
@@ -87,7 +87,6 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class CollocationSolution:
-    spec: BackwardSpec
     nodes_t: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     interpolant: Interpolant = field(repr=False)
@@ -229,4 +228,4 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
         near_singular=near_singular,
     )
     ip = Interpolant(spec, ctx.nodes_z, ctx.nodes_t, values, ctx.bary)
-    return CollocationSolution(spec, ctx.nodes_t, values, ip, diag)
+    return CollocationSolution(ctx.nodes_t, values, ip, diag)

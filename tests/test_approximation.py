@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,8 +8,10 @@ from fbjacobi import approximation
 from fbjacobi.approximation import (
     MAX_N,
     Expansion,
+    _node_set,
     _sample,
     barycentric_weights,
+    cardinal_matrix,
     eval_expansion,
     eval_grid,
     eval_interpolant,
@@ -179,6 +182,21 @@ class TestInterpolate:
         ts = np.linspace(0.0, 0.99, 100)
         assert np.max(np.abs(eval_interpolant(ip, ts) - np.exp(map_forward(s, ts)))) <= 1e-13
 
+    def test_cardinal_row_one_ulp_above_last_node(self):
+        # the terminal nodes crowd z = 1; only an exact hit is snapped, and
+        # the quotient next to it agrees with the same quotient in mpmath
+        nodes, _, bary = _node_set(spec_of(-0.5, -0.5, 0.5), 64)
+        z = np.nextafter(nodes[-1], 1.0)
+        got = cardinal_matrix(nodes, bary, np.array([z]))[0]
+        with mpmath.workdps(40):
+            ratios = [mpmath.mpf(b) / (mpmath.mpf(z) - mpmath.mpf(x))
+                      for b, x in zip(bary.tolist(), nodes.tolist())]
+            total = mpmath.fsum(ratios)
+            ref = np.array([float(r / total) for r in ratios])
+        assert np.max(np.abs(got - ref)) <= 1e-14
+        hits = cardinal_matrix(nodes, bary, np.array([nodes[-1], nodes[3]]))
+        assert np.array_equal(hits, np.eye(65)[[64, 3]])
+
     @pytest.mark.parametrize("shape", [(2, 9), (4, 5)])
     def test_array_shape_preserved(self, shape):
         s = spec_of(-0.25, -0.25, 0.5)
@@ -305,6 +323,11 @@ class TestErrorNorms:
 class TestLebesgue:
     def test_lower_bound(self):
         assert lebesgue_constant(spec_of(0, 0, 1.0), 1, 101) >= 1.0
+
+    def test_single_node_is_exactly_one(self):
+        assert lebesgue_constant(spec_of(-0.5, -0.5, 1.0), 0, 101) == 1.0
+        with pytest.raises(ValueError, match="rule size must be >= 1"):
+            lebesgue_constant(spec_of(-0.5, -0.5, 1.0), -1, 101)
 
     def test_log_growth_for_clustered_weight(self):
         ns = [4, 8, 16, 32]

@@ -15,8 +15,11 @@ from fbjacobi.backward_basis import (
     map_inverse,
     sturm_liouville_apply,
 )
+from fbjacobi.approximation import eval_expansion, eval_interpolant, interpolate, project
 from fbjacobi.jacobi_core import JacobiParams, gauss_rule, jacobi_eval, jacobi_norm
+from fbjacobi.problems import case_i, oracle_kr
 from fbjacobi.special_functions import gamma_ratio
+from fbjacobi.volterra_solver import singular_ratio
 
 
 def spec_of(mu, up, rho):
@@ -208,3 +211,39 @@ class TestNodes:
                     assert abs(gram[r, q] - ref) <= 1e-9 * ref
                 else:
                     assert abs(gram[r, q]) <= 1e-9
+
+
+_SPEC = BackwardSpec(JacobiParams(-0.25, -0.25), 0.5)
+_CASE = case_i(0.5, 1.5, 2.5)
+_EXPANSION = project(_SPEC, 6, np.cos)
+_INTERPOLANT = interpolate(_SPEC, 6, np.cos)
+POINTWISE = {
+    "map_forward": lambda t: map_forward(_SPEC, t),
+    "map_inverse": lambda t: map_inverse(_SPEC, t),
+    "fb_eval": lambda t: fb_eval(_SPEC, 3, t),
+    "fb_weight": lambda t: fb_weight(_SPEC, t),
+    "fb_weight_tilde": lambda t: fb_weight_tilde(_SPEC, t),
+    "fb_deriv_eval": lambda t: fb_deriv_eval(_SPEC, 3, 2, t),
+    "sturm_liouville_apply r=0": lambda t: sturm_liouville_apply(_SPEC, 0, t),
+    "sturm_liouville_apply r=2": lambda t: sturm_liouville_apply(_SPEC, 2, t),
+    "jacobi_eval": lambda x: jacobi_eval(_SPEC.params, 3, x),
+    "eval_expansion": lambda t: eval_expansion(_EXPANSION, t),
+    "eval_interpolant": lambda t: eval_interpolant(_INTERPOLANT, t),
+    "oracle_kr": lambda t: oracle_kr(_CASE.exact, _CASE.theta, _CASE.kernel, t),
+    "source_at": lambda t: _CASE.source_at(t, 1.0 - np.asarray(t)),
+    "singular_ratio": lambda eta: singular_ratio(0.5, eta),
+}
+
+
+@pytest.mark.parametrize("name", list(POINTWISE))
+def test_scalar_rule(name):
+    """numpy's rule: a scalar or 0-d input gives a numpy float64, an array
+    an array of its shape with the same values."""
+    f = POINTWISE[name]
+    ts = np.linspace(0.1, 0.8, 6).reshape(2, 3)
+    for t in (0.3, np.float64(0.3), np.array(0.3)):
+        assert type(f(t)) is np.float64
+    out = f(ts)
+    assert type(out) is np.ndarray and out.shape == ts.shape
+    ref = [f(t) for t in ts.ravel().tolist()]
+    np.testing.assert_allclose(out.ravel(), ref, rtol=1e-14, atol=0.0)

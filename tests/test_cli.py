@@ -166,6 +166,32 @@ class TestConvergeCommand:
         lines = out.read_text().splitlines()
         assert lines[1:] == ["4,,,,,", "8,,,,,"]
 
+    def test_all_rows_failed_writes_no_svg(self, tmp_path, capsys):
+        out, svg = tmp_path / "n.csv", tmp_path / "n.svg"
+        code = run([
+            "converge", "--problem", "custom",
+            "--kernel-expr", NAN_KERNEL, "--source-expr", "1.0", "--exact-expr", "1.0",
+            "--n-min", "4", "--n-max", "8", "--n-step", "4",
+            "--eval-points", "11", "--out", str(out), "--svg", str(svg),
+        ])
+        assert code == 0
+        assert "warning: no SVG written" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_infinite_exact_fails_the_row(self, tmp_path, capsys):
+        # a finite solve against an exact solution that is inf in float
+        # arithmetic (no numpy overflow warning on the way)
+        out = tmp_path / "i.csv"
+        code = run([
+            "converge", "--problem", "custom",
+            "--kernel-expr", "1.0", "--source-expr", "1.0", "--exact-expr", "1e308*10",
+            "--n-min", "4", "--n-max", "8", "--n-step", "4",
+            "--eval-points", "11", "--out", str(out),
+        ])
+        assert code == 0
+        assert "non-finite error norms" in capsys.readouterr().err
+        assert out.read_text().splitlines()[1:] == ["4,,,,,", "8,,,,,"]
+
     def test_converge_requires_exact(self, capsys):
         code = run([
             "converge", "--problem", "custom",
@@ -179,6 +205,16 @@ class TestSelftestCommand:
         assert run(["selftest", "--quick", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_failed_check_exits_one(self, monkeypatch, capsys):
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(selfcheck, "sturm_liouville_apply", boom)
+        assert run(["selftest", "--quick"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] sturm-liouville residual" in out
+        assert out.endswith("1 of 10 checks failed\n")
 
 
 def _nan_once(func, when=lambda *args: True, poison=None):
@@ -305,6 +341,8 @@ class TestExitCodes:
                      id="n-max-above-max"),
         pytest.param(CUSTOM + ["--kernel-expr", NAN_KERNEL, "--source-expr", "1.0"],
                      3, "NumericalError: non-finite matrix: ", id="nan-kernel-solve"),
+        pytest.param(["converge", "--l2-weight=abc"], 2,
+                     "--l2-weight expects 'mu,upsilon', got 'abc'", id="l2-weight-not-a-pair"),
     ])
     def test_exit_code(self, argv, code, message, tmp_path, capsys):
         assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
@@ -322,3 +360,13 @@ class TestSvgPlot:
         text = render_semilog([4, 8, 12], [("a", [1e-3, None, 1e-5])], "demo")
         root = ET.fromstring(text)
         assert root.tag.endswith("svg")
+
+    def test_single_point_at_a_power_of_ten(self):
+        # one N and a one-decade range: both axes are widened by one unit, so
+        # the point sits at the left edge (x = 72) on the bottom gridline (y = 388)
+        svg = "{http://www.w3.org/2000/svg}"
+        root = ET.fromstring(render_semilog([8], [("a", [1e-3])]))
+        assert {"1e-3", "1e-2", "8"} <= {t.text for t in root.iter(svg + "text")}
+        (marker,) = root.iter(svg + "circle")
+        assert float(marker.get("cx")) == 72.0
+        assert float(marker.get("cy")) == 388.0

@@ -274,6 +274,19 @@ class TestAssemble:
             assert f"node {first} (t = {float(nodes[first])!r})" in message
             assert "np.float64" not in message
 
+    def test_source_failing_only_on_the_array(self):
+        # every node succeeds alone, so no node can be named
+        def source(t):
+            if np.ndim(t):
+                raise RuntimeError("array boom")
+            return 1.0
+
+        prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source=source)
+        with pytest.raises(NumericalError,
+                           match="source evaluation failed on the node array") as info:
+            assemble(prob, spec_of(-0.25, -0.25, 0.5), 8)
+        assert str(info.value.__cause__) == "array boom"
+
     @pytest.mark.parametrize("n", [8, 64, 200])
     @pytest.mark.parametrize("mu, up, rho", [(-0.5, -0.5, 0.5), (0.5, -0.25, 1.0 / 3.0)])
     def test_rows_match_cardinal_matrix_reference(self, n, mu, up, rho):
