@@ -126,28 +126,13 @@ def gauss_rule(params: JacobiParams, m: int) -> QuadratureRule:
     """
     if m < 1:
         raise ValueError(f"rule size must be >= 1, got {m}")
-    mu, up = params.mu, params.upsilon
-    s = mu + up
-    mass = beta(mu + 1.0, up + 1.0)
-
-    # Monic recurrence coefficients for the weight on [-1,1], then the
-    # affine shift x = 2z - 1 halves the diagonal offsets and off-diagonals.
-    two = 2.0 * np.arange(1.0, m) + s
-    diag = np.concatenate((
-        [(up - mu) / (s + 2.0)],
-        (up * up - mu * mu) / (two * (two + 2.0)),
-    ))
-    kk = np.arange(2.0, m)
-    t2 = 2.0 * kk + s
-    off = np.concatenate((
-        [math.sqrt(4.0 * (mu + 1.0) * (up + 1.0) / ((s + 2.0) ** 2 * (s + 3.0)))],
-        np.sqrt(
-            4.0 * kk * (kk + mu) * (kk + up) * (kk + s)
-            / (t2 * t2 * (t2 + 1.0) * (t2 - 1.0))
-        ),
-    ))[: m - 1]
-    half_off = off / 2.0
-    jac = np.diag((diag + 1.0) / 2.0) + np.diag(half_off, 1) + np.diag(half_off, -1)
+    mass = jacobi_norm(params, 0)
+    # Monic Jacobi matrix on [-1,1] from the recurrence of P_k, then halved
+    # and shifted by the affine map x = 2z - 1.
+    a, b, c = np.array([_recurrence_coeffs(params, k) for k in range(m)]).T
+    diag = (1.0 - b / a) / 2.0
+    half_off = np.sqrt(c[1:] / (a[:-1] * a[1:])) / 2.0
+    jac = np.diag(diag) + np.diag(half_off, 1) + np.diag(half_off, -1)
     try:
         nodes, vectors = np.linalg.eigh(jac)
     except np.linalg.LinAlgError as exc:

@@ -67,11 +67,13 @@ def mittag_leffler(sigma: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_sigma(z) = sum z^n / Gamma(sigma n + 1).
 
     Terms are built by a multiplicative recurrence (each step multiplies by
-    z times a nearby gamma ratio), which keeps consecutive terms consistent
-    enough that the alternating case stays accurate; the final sum is exact
-    over the computed terms. Raises OverflowError when a term or the sum
-    leaves the representable range, or when the series has not converged
-    within 500 terms (large z), so a truncated partial sum is never returned.
+    z times a nearby gamma ratio) and summed exactly over the computed terms.
+    For z < 0 the terms alternate and grow to about e^|z| before they shrink,
+    so their rounding swamps a small sum: raises ValueError when the largest
+    term exceeds 1e4 times the sum's magnitude (over four digits cancelled).
+    Raises OverflowError when a term or the sum leaves the representable
+    range, or when the series has not converged within 500 terms (large z),
+    so a truncated partial sum is never returned.
     """
     if not sigma > 0.0:
         raise ValueError(f"mittag_leffler requires sigma > 0, got {sigma}")
@@ -100,7 +102,10 @@ def mittag_leffler(sigma: float, z: float) -> float:
         terms.append(term)
         running += term
         if abs(term) < 1e-16 * abs(running):
-            return math.fsum(terms)  # raises OverflowError if the sum overflows
+            total = math.fsum(terms)  # raises OverflowError if the sum overflows
+            if max(map(abs, terms)) > 1e4 * abs(total):
+                raise ValueError(f"mittag_leffler({sigma}, {z}) cancels more than four digits")
+            return total
     raise OverflowError(
         f"mittag_leffler({sigma}, {z}) has not converged in "
         f"{_MITTAG_LEFFLER_MAX_TERMS} terms"

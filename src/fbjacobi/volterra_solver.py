@@ -96,23 +96,6 @@ class CollocationSolution:
         return self.interpolant(t)
 
 
-def singular_ratio(rho: float, eta):
-    """(1 - (1-eta)^{1/rho}) / eta, the bounded factor left over after the
-    kernel singularity is pulled into the quadrature weight; eta may be an array.
-
-    Three-term Taylor expansion below eta = 1e-6 (direct evaluation loses all
-    significance there), spliced to expm1/log1p evaluation above; the value
-    tends to 1/rho as eta -> 0.
-    """
-    s = 1.0 / rho
-    eta = np.asarray(eta, dtype=float)
-    small = eta < 1e-6
-    safe = np.where(small, 0.5, eta)  # keeps the unused direct branch finite
-    direct = -np.expm1(np.log1p(-safe) * s) / safe
-    taylor = s * (1.0 - 0.5 * (s - 1.0) * eta + (s - 1.0) * (s - 2.0) / 6.0 * eta * eta)
-    return np.where(small, taylor, direct)[()]
-
-
 class _Assembly:
     """The data of one (problem, spec, N) system: collocation nodes,
     barycentric weights, the (N+1)-point quadrature rule, and on the grid of
@@ -138,8 +121,9 @@ class _Assembly:
         self.quad_t = 1.0 - self.w_nodes[:, None] * np.exp(log_q)
         self.quad_z = -np.expm1(rho * (log_w[:, None] + log_q))
         kernel = _sample(problem.kernel, self.nodes_t[:, None], self.quad_t)
+        ratio = -np.expm1(log_q) / qrule.nodes       # s(eta_k) / eta_k
         self.kbar = ((self.w_nodes ** (1.0 - theta) / rho)[:, None]
-                     * singular_ratio(rho, qrule.nodes) ** (-theta) * kernel)
+                     * ratio ** (-theta) * kernel)
 
 
 def _assemble_from(ctx: _Assembly):
@@ -157,16 +141,17 @@ def _assemble_from(ctx: _Assembly):
     n = ctx.n
     mat = np.eye(n + 1)
     recip = np.empty((n + 1, n + 1))
-    for i in range(n + 1):
-        weights = ctx.chi * ctx.kbar[i]
-        np.subtract(ctx.quad_z[i][:, None], ctx.nodes_z, out=recip)
-        with np.errstate(all="ignore"):  # a non-finite s is handled below
+    with np.errstate(all="ignore"):  # a non-finite s is handled below
+        for i in range(n + 1):
+            weights = ctx.chi * ctx.kbar[i]
+            np.subtract(ctx.quad_z[i][:, None], ctx.nodes_z, out=recip)
             np.reciprocal(recip, out=recip)
             s = recip @ ctx.bary
-        if np.isfinite(s).all():
-            mat[i] -= ((weights / s) @ recip) * ctx.bary
-        else:
-            mat[i] -= weights @ cardinal_matrix(ctx.nodes_z, ctx.bary, ctx.quad_z[i])
+            if np.isfinite(s).all():
+                mat[i] -= ((weights / s) @ recip) * ctx.bary
+            else:
+                mat[i] -= weights @ cardinal_matrix(ctx.nodes_z, ctx.bary,
+                                                    ctx.quad_z[i])
     try:
         rhs = ctx.problem.source_at(ctx.nodes_t, ctx.w_nodes)
     except Exception as exc:

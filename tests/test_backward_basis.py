@@ -19,7 +19,6 @@ from fbjacobi.approximation import eval_expansion, eval_interpolant, interpolate
 from fbjacobi.jacobi_core import JacobiParams, gauss_rule, jacobi_eval, jacobi_norm
 from fbjacobi.problems import case_i, oracle_kr
 from fbjacobi.special_functions import gamma_ratio
-from fbjacobi.volterra_solver import singular_ratio
 
 
 def spec_of(mu, up, rho):
@@ -231,7 +230,6 @@ POINTWISE = {
     "eval_interpolant": lambda t: eval_interpolant(_INTERPOLANT, t),
     "oracle_kr": lambda t: oracle_kr(_CASE.exact, _CASE.theta, _CASE.kernel, t),
     "source_at": lambda t: _CASE.source_at(t, 1.0 - np.asarray(t)),
-    "singular_ratio": lambda eta: singular_ratio(0.5, eta),
 }
 
 

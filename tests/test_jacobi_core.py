@@ -184,6 +184,18 @@ class TestGaussRule:
         scale = 2.0 ** (params.mu + params.upsilon + 1.0)
         assert np.max(np.abs(rule.weights - w_ref / scale)) <= 5e-12 * np.max(rule.weights)
 
+    @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+    @pytest.mark.parametrize("m", [1, 5, 33, 129, 385])
+    def test_nodes_are_zeros_of_the_table(self, params, m):
+        # the rule and the table share one recurrence, so at x = 2z - 1 the
+        # Newton step P_m / P_m' is at rounding level; the derivative is
+        # P_m' = (m + mu + upsilon + 1)/2 * P_{m-1} of the shifted pair
+        x = 2.0 * gauss_rule(params, m).nodes - 1.0
+        p_m = jacobi_table(params, m, x)[m]
+        dp_m = (0.5 * (m + params.mu + params.upsilon + 1.0)
+                * jacobi_table(params.shifted(1), m - 1, x)[m - 1])
+        assert np.max(np.abs(p_m / dp_m)) <= 4e-15
+
     def test_eigh_failure_is_numerical_error(self, monkeypatch):
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -139,6 +139,15 @@ class TestMittagLeffler:
             ref = math.exp(z)
             assert abs(mittag_leffler(1.0, float(z)) - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("sigma, z", [
+        (1.0, -20.0),  # the series gave 7.55e-9 for e^-20 = 2.06e-9
+        (1.0, -40.0),  # 0.268 for e^-40 = 4.2e-18
+        (0.5, -10.0),  # -7.6e28 for e^100 erfc(10) = 0.056
+    ])
+    def test_cancellation_is_refused(self, sigma, z):
+        with pytest.raises(ValueError, match="cancels more than four digits"):
+            mittag_leffler(sigma, z)
+
     def test_zero_argument(self):
         for sigma in (0.3, 1.0, 2.5):
             assert mittag_leffler(sigma, 0.0) == 1.0

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import pathlib
 import warnings
 
 import mpmath
@@ -16,7 +19,6 @@ from fbjacobi.volterra_solver import (
     ProblemDefinition,
     _assemble_from,
     _Assembly,
-    singular_ratio,
     solve,
 )
 
@@ -113,19 +115,6 @@ class TestProblemDefinition:
 
 
 class TestKernelTransform:
-    def test_ratio_limit_and_splice(self):
-        # the bounded factor tends to 1/rho at eta -> 0 and the Taylor/direct
-        # branches agree at the splice point
-        for rho in (1.0, 0.5, 0.25, 1.0 / 3.0):
-            assert abs(singular_ratio(rho, 0.0) - 1.0 / rho) < 1e-15
-            lo = singular_ratio(rho, 1e-6 * (1 - 1e-10))
-            hi = singular_ratio(rho, 1e-6 * (1 + 1e-10))
-            assert abs(lo - hi) <= 1e-12 * abs(hi)
-            # an array takes the same branch per entry as the scalar calls
-            etas = [0.0, 1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10), 0.5, 0.99]
-            assert np.array_equal(singular_ratio(rho, np.array(etas)),
-                                  [singular_ratio(rho, e) for e in etas])
-
     def test_unit_rho_middle_factor_is_one(self):
         # for rho = 1 the bounded factor is 1, so kbar_ik = (1 - t_i)^{1/2}
         ctx = _Assembly(unit_problem(0.5), spec_of(-0.25, -0.25, 1.0), 6)
@@ -159,9 +148,10 @@ class TestKernelTransform:
 
     def test_transform_reproduces_integral(self):
         # summing the transformed kernel against the Jacobi rule reproduces
-        # int_t^1 (p-t)^{-theta} dp = (1-t)^{1-theta}/(1-theta)
+        # int_t^1 (p-t)^{-theta} dp = (1-t)^{1-theta}/(1-theta); rho = 1/3 and
+        # 1/6 are not dyadic, so log_q's division by rho rounds
         prob = unit_problem(0.5)
-        for rho in (1.0, 0.5):
+        for rho in (1.0, 0.5, 1.0 / 3.0, 1.0 / 6.0):
             ctx = _Assembly(prob, spec_of(-0.25, -0.25, rho), 11)
             got = ctx.kbar @ ctx.chi
             ref = ctx.w_nodes ** 0.5 / 0.5
@@ -519,3 +509,16 @@ class TestSolve:
         rhs = np.array([prob.source_at(t, 1.0 - t) for t in nodes_t])
         ref_values = np.linalg.solve(mat, rhs)
         assert np.max(np.abs(sol.values - ref_values)) <= 1e-9
+
+
+def test_readme_library_example():
+    # the python block under "## Library example" in README.md, run as written
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    linf, cond = (float(line) for line in out.getvalue().splitlines()[:2])
+    assert linf <= 1e-14  # README: "~3e-15"
+    assert math.isfinite(cond)
