@@ -43,17 +43,17 @@ def _node_set(spec: BackwardSpec, n: int):
 def cardinal_matrix(nodes: np.ndarray, bary: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Cardinal functions on a 1-D z grid; rows index grid points, columns nodes.
 
-    A point exactly on a node, the only 0/0 of the barycentric quotient, gets
-    that node's unit row. Any other point, however close to a node, takes the
-    quotient itself, which is forward stable right up to an exact hit.
+    A point exactly on a node, the only 0/0 of the barycentric quotient, has
+    an infinite row total, as in the solver's rows, and gets that node's unit
+    row. Any other point, however close, takes the forward-stable quotient.
     """
-    diff = np.asarray(zs, dtype=float)[:, None] - nodes
-    hits = diff == 0.0
-    diff[hits] = 1.0
-    ratios = bary / diff
-    out = ratios / ratios.sum(axis=1, keepdims=True)
-    rows = hits.any(axis=1)
-    out[rows] = hits[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = zs[:, None] - nodes
+        np.divide(bary, out, out=out)
+        total = out.sum(axis=1, keepdims=True)
+        out /= total
+    rows = np.isinf(total[:, 0])
+    out[rows] = zs[rows, None] == nodes
     return out
 
 
@@ -122,7 +122,7 @@ def project(spec: BackwardSpec, n: int, f) -> Expansion:
     rule = gauss_rule(spec.params, max(2 * n, n + 32))
     ts = map_inverse(spec, rule.nodes)
     fv = _sample(f, ts)
-    basis = jacobi_table(spec.params, n, 2.0 * rule.nodes - 1.0)
+    basis = jacobi_table(spec.params, n, rule.nodes)
     norms = np.array([jacobi_norm(spec.params, r) for r in range(n + 1)])
     return Expansion(spec, (basis * fv) @ rule.weights / norms)
 
@@ -130,9 +130,9 @@ def project(spec: BackwardSpec, n: int, f) -> Expansion:
 def eval_expansion(expansion: Expansion, t):
     """Expansion value at t (a numpy float64 for a scalar t, else an array of
     t's shape), summed over the Jacobi table in z."""
-    x = 2.0 * map_forward(expansion.spec, t) - 1.0
+    z = map_forward(expansion.spec, t)
     c = expansion.coeffs
-    return np.tensordot(c, jacobi_table(expansion.spec.params, len(c) - 1, x), axes=1)[()]
+    return np.tensordot(c, jacobi_table(expansion.spec.params, len(c) - 1, z), axes=1)[()]
 
 
 def interpolate(spec: BackwardSpec, n: int, f) -> Interpolant:
@@ -189,4 +189,4 @@ def lebesgue_constant(spec: BackwardSpec, n: int, samples: int) -> float:
     (exactly 1 for N = 0, a single node)."""
     nodes_z, _, bary = _node_set(spec, n)
     h = cardinal_matrix(nodes_z, bary, np.linspace(0.0, 1.0, samples))
-    return float(np.max(np.sum(np.abs(h), axis=1)))
+    return float(np.max(np.sum(np.abs(h, out=h), axis=1)))

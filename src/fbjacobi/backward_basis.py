@@ -48,7 +48,7 @@ def map_inverse(spec: BackwardSpec, z):
 
 def fb_eval(spec: BackwardSpec, r: int, t):
     """Backward basis function of degree r: P_r^{mu,upsilon}(1 - 2(1-t)^rho)."""
-    return jacobi_eval(spec.params, r, 2.0 * map_forward(spec, t) - 1.0)
+    return jacobi_eval(spec.params, r, map_forward(spec, t))
 
 
 def fb_weight(spec: BackwardSpec, t):

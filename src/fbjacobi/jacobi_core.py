@@ -1,9 +1,9 @@
-"""Classical Jacobi polynomials on [-1,1], shifted norms on [0,1], and
-Gauss quadrature rules for the weight (1-z)^mu * z^upsilon on [0,1].
+"""Shifted Jacobi polynomials P_r^{mu,upsilon}(2z-1) on [0,1], their norms,
+and Gauss quadrature rules for the weight (1-z)^mu * z^upsilon on [0,1].
 
-This module is the only place that knows the three-term recurrence:
-`jacobi_table` evaluates P_0..P_n with it and `gauss_rule` builds its
-Golub-Welsch matrix from the monic form of the same recurrence.
+This module alone knows the three-term recurrence and the shift x = 2z - 1:
+`jacobi_table` evaluates P_0..P_n at z with both, and `gauss_rule` builds
+its Golub-Welsch matrix from the monic form of the same recurrence.
 """
 
 from dataclasses import dataclass, field
@@ -70,13 +70,13 @@ def _recurrence_coeffs(params: JacobiParams, k: int):
     return a, b, c
 
 
-def jacobi_table(params: JacobiParams, n: int, x) -> np.ndarray:
-    """Classical Jacobi polynomials P_0..P_n^{mu,upsilon} at x in [-1,1].
+def jacobi_table(params: JacobiParams, n: int, z) -> np.ndarray:
+    """Shifted Jacobi polynomials P_0..P_n^{mu,upsilon}(2z-1) at z in [0,1].
 
-    Forward three-term recurrence from degrees 0 and 1; the degree runs along
-    the first axis, so the result has shape (n+1,) + shape(x).
+    Forward three-term recurrence in x = 2z - 1 from degrees 0 and 1; the
+    degree runs along the first axis, so the result has shape (n+1,) + shape(z).
     """
-    x = np.asarray(x, dtype=float)
+    x = 2.0 * np.asarray(z, dtype=float) - 1.0
     table = np.empty((n + 1,) + x.shape)
     table[0] = 1.0
     if n >= 1:
@@ -88,12 +88,11 @@ def jacobi_table(params: JacobiParams, n: int, x) -> np.ndarray:
     return table
 
 
-def jacobi_eval(params: JacobiParams, r: int, x):
-    """Value of the classical Jacobi polynomial P_r^{mu,upsilon} at x in [-1,1];
-    `x` may be a scalar or an ndarray."""
+def jacobi_eval(params: JacobiParams, r: int, z):
+    """Row r of `jacobi_table` at z; `z` may be a scalar or an ndarray."""
     if r < 0:
         raise ValueError(f"degree must be nonnegative, got {r}")
-    return jacobi_table(params, r, x)[r][()]
+    return jacobi_table(params, r, z)[r][()]
 
 
 def jacobi_norm(params: JacobiParams, r: int) -> float:

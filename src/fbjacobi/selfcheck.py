@@ -53,7 +53,7 @@ def check_orthogonality():
     for mu, up in ((-0.25, -0.25), (-0.5, -0.5), (0.0, 0.0)):
         params = JacobiParams(mu, up)
         rule = gauss_rule(params, n + 2)
-        basis = jacobi_table(params, n, 2.0 * rule.nodes - 1.0)
+        basis = jacobi_table(params, n, rule.nodes)
         gram = basis @ (rule.weights[:, None] * basis.T)
         norms = np.array([jacobi_norm(params, r) for r in range(n + 1)])
         err = np.abs(gram - np.diag(norms))  # absolute off the diagonal
@@ -122,9 +122,9 @@ def check_inverse_inequality(rng: np.random.Generator):
             coeffs = rng.standard_normal((20, n + 1))
             factors = np.array([deriv_factor(spec, r, 1) for r in range(1, n + 1)])
             dphi = (coeffs[:, 1:] * factors) @ jacobi_table(
-                spec.params.shifted(1), n - 1, 2.0 * rule_num.nodes - 1.0
+                spec.params.shifted(1), n - 1, rule_num.nodes
             )
-            phi = coeffs @ jacobi_table(spec.params, n, 2.0 * rule_den.nodes - 1.0)
+            phi = coeffs @ jacobi_table(spec.params, n, rule_den.nodes)
             num = np.sqrt(dphi**2 @ rule_num.weights)
             den = np.sqrt(phi**2 @ rule_den.weights)
             errors.append(num / (math.sqrt(sigma) * den))

@@ -3,16 +3,16 @@ Volterra equation u(t) = g(t) + int_t^1 (rho - t)^{-theta} K(t, rho) u(rho) drho
 
 The kernel singularity is absorbed into a Jacobi weight by mapping the
 integration variable through the same backward transformation that generates
-the basis, so the discrete operator is a plain Gauss sum. Assembly works with
-the z-space nodes and the exact distances 1 - t, which stay meaningful even
-where t itself rounds to 1. The kernel is sampled once on the whole grid of
-(node, quadrature point) pairs. Each row of the matrix then takes one pass:
-the reciprocal gaps between its quadrature points and the nodes fill one
-reused buffer, and two matrix-vector products give the barycentric
-denominators and the row. A row with a quadrature point exactly on a node
-(an infinite reciprocal) is built through `approximation.cardinal_matrix`
-instead. The dense system is solved and its 1-norm condition number computed
-with LAPACK through numpy.
+the basis, so the discrete operator is a plain Gauss sum. The same map makes
+the quadrature points of row i affine in z, z_i + (1 - z_i) eta_k. Assembly
+works with these z-points and the exact distances 1 - t, which stay
+meaningful even where t itself rounds to 1. The kernel is sampled once on the
+grid of (node, quadrature point) pairs. Each row then takes one pass: the
+reciprocal gaps between its quadrature points and the nodes fill one reused
+buffer, and two matrix-vector products give the barycentric denominators and
+the row. A row with a point exactly on a node (an infinite reciprocal) is
+built through `approximation.cardinal_matrix` instead. The dense system is
+solved and its 1-norm condition number computed with LAPACK through numpy.
 """
 
 import math
@@ -110,8 +110,7 @@ class _Assembly:
         rho, theta = spec.rho, problem.theta
 
         self.nodes_z, self.nodes_t, self.bary = _node_set(spec, n)
-        log_w = np.log1p(-self.nodes_z) / rho        # log(1 - t_i), exact route
-        self.w_nodes = np.exp(log_w)                 # 1 - t_i, always > 0 here
+        self.w_nodes = np.exp(np.log1p(-self.nodes_z) / rho)  # 1 - t_i
         if not np.all(self.w_nodes > 0.0):
             raise ValueError("collocation node reached the terminal endpoint")
 
@@ -119,7 +118,7 @@ class _Assembly:
         self.chi = qrule.weights
         log_q = np.log1p(-qrule.nodes) / rho         # log(1 - s(eta_k))
         self.quad_t = 1.0 - self.w_nodes[:, None] * np.exp(log_q)
-        self.quad_z = -np.expm1(rho * (log_w[:, None] + log_q))
+        self.quad_z = self.nodes_z[:, None] + np.outer(1.0 - self.nodes_z, qrule.nodes)
         kernel = _sample(problem.kernel, self.nodes_t[:, None], self.quad_t)
         ratio = -np.expm1(log_q) / qrule.nodes       # s(eta_k) / eta_k
         self.kbar = ((self.w_nodes ** (1.0 - theta) / rho)[:, None]

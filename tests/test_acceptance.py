@@ -59,8 +59,8 @@ def test_01_orthogonality_suite():
         for rho in (1.0, 0.5, 1.0 / 3.0):
             spec = BackwardSpec(JacobiParams(mu, up), rho)
             rule = gauss_rule(spec.params, n + 2)
-            x = 2.0 * rule.nodes - 1.0
-            basis = np.vstack([jacobi_eval(spec.params, r, x) for r in range(n + 1)])
+            basis = np.vstack([jacobi_eval(spec.params, r, rule.nodes)
+                               for r in range(n + 1)])
             gram = basis @ (rule.weights[:, None] * basis.T)
             for r in range(n + 1):
                 for s in range(n + 1):

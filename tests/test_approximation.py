@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -194,8 +195,23 @@ class TestInterpolate:
             total = mpmath.fsum(ratios)
             ref = np.array([float(r / total) for r in ratios])
         assert np.max(np.abs(got - ref)) <= 1e-14
-        hits = cardinal_matrix(nodes, bary, np.array([nodes[-1], nodes[3]]))
-        assert np.array_equal(hits, np.eye(65)[[64, 3]])
+        rows = cardinal_matrix(nodes, bary,
+                               np.array([nodes[-1], nodes[3], np.nan, np.inf, -np.inf]))
+        assert np.array_equal(rows[:2], np.eye(65)[[64, 3]])
+        assert not np.isfinite(rows[2:]).any()
+
+    def test_cardinal_matrix_builds_in_one_buffer(self):
+        # the quotient is built in its output buffer, so the peak allocation
+        # stays near one M x (N+1) float array
+        nodes, _, bary = _node_set(spec_of(-0.5, -0.5, 0.5), 384)
+        zs = np.linspace(0.0, 1.0, 2001)
+        tracemalloc.start()
+        try:
+            cardinal_matrix(nodes, bary, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 2001 * 385
 
     @pytest.mark.parametrize("shape", [(2, 9), (4, 5)])
     def test_array_shape_preserved(self, shape):
@@ -219,7 +235,7 @@ class TestInterpolate:
         zs = np.linspace(0.0, 1.0, 4001)
         tz = map_inverse(s, zs)
         design = np.vstack(
-            [jacobi_eval(JacobiParams(0, 0), r, 2.0 * zs - 1.0) for r in range(n + 1)]
+            [jacobi_eval(JacobiParams(0, 0), r, zs) for r in range(n + 1)]
         ).T
         coef, *_ = np.linalg.lstsq(design, f(tz), rcond=None)
         ls_err = float(np.max(np.abs(design @ coef - f(tz))))

@@ -74,7 +74,7 @@ class TestFbEval:
             s = spec_of(mu, up, 1.0)
             for r in (1, 4, 9):
                 for t in np.linspace(0, 1, 13):
-                    ref = jacobi_eval(JacobiParams(mu, up), r, 2.0 * t - 1.0)
+                    ref = jacobi_eval(JacobiParams(mu, up), r, t)
                     assert abs(fb_eval(s, r, float(t)) - ref) <= 1e-14 * max(1, abs(ref))
 
     def test_linear_case(self):
@@ -225,7 +225,7 @@ POINTWISE = {
     "fb_deriv_eval": lambda t: fb_deriv_eval(_SPEC, 3, 2, t),
     "sturm_liouville_apply r=0": lambda t: sturm_liouville_apply(_SPEC, 0, t),
     "sturm_liouville_apply r=2": lambda t: sturm_liouville_apply(_SPEC, 2, t),
-    "jacobi_eval": lambda x: jacobi_eval(_SPEC.params, 3, x),
+    "jacobi_eval": lambda z: jacobi_eval(_SPEC.params, 3, z),
     "eval_expansion": lambda t: eval_expansion(_EXPANSION, t),
     "eval_interpolant": lambda t: eval_interpolant(_INTERPOLANT, t),
     "oracle_kr": lambda t: oracle_kr(_CASE.exact, _CASE.theta, _CASE.kernel, t),

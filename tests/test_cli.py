@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
 import math
+import pathlib
+import re
+import shlex
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -370,3 +373,29 @@ class TestSvgPlot:
         (marker,) = root.iter(svg + "circle")
         assert float(marker.get("cx")) == 72.0
         assert float(marker.get("cy")) == 388.0
+
+
+def test_readme_cli_commands(tmp_path):
+    # the two bash blocks under "## CLI" in README.md, run as written except
+    # that --out and --svg point into tmp_path; each CSV starts with the
+    # header the README names next to its command
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```bash\n")[1:]]
+    headers = re.findall(r"`([\w,]+)` CSV", section)
+    assert len(blocks) == len(headers) == 2
+    csvs = {}
+    for block, header in zip(blocks, headers):
+        program, *argv = shlex.split(block.replace("\\\n", " "))
+        assert program == "fbjacobi"
+        for flag in ("--out", "--svg"):
+            if flag in argv:
+                k = argv.index(flag) + 1
+                argv[k] = str(tmp_path / argv[k])
+        assert main(argv) == 0
+        lines = pathlib.Path(argv[argv.index("--out") + 1]).read_text().splitlines()
+        assert lines[0] == header
+        csvs[argv[0]] = lines[1:]
+    assert len(csvs["solve"]) == 2001
+    assert [int(line.split(",")[0]) for line in csvs["converge"]] == list(range(8, 65, 8))
+    assert (tmp_path / "rates.svg").read_text().startswith("<?xml")

@@ -43,8 +43,8 @@ class TestJacobiEval:
         p = JacobiParams(0.7, -0.3)
         assert jacobi_eval(p, 0, 0.37) == 1.0
         leg = JacobiParams(0.0, 0.0)
-        for x in (-1.0, -0.2, 0.9):
-            assert abs(jacobi_eval(leg, 1, x) - x) < 1e-15
+        for z in (0.0, 0.4, 0.95):
+            assert abs(jacobi_eval(leg, 1, z) - (2.0 * z - 1.0)) < 1e-15
 
     def test_endpoint_identity(self):
         # P_r(1) = Gamma(r+mu+1) / (r! Gamma(mu+1))
@@ -55,11 +55,11 @@ class TestJacobiEval:
 
     def test_vectorized_matches_scalar(self):
         p = JacobiParams(-0.5, 0.3)
-        xs = np.linspace(-1, 1, 11)
-        vec = jacobi_eval(p, 6, xs)
-        assert vec.shape == xs.shape
-        for x, v in zip(xs, vec):
-            assert v == jacobi_eval(p, 6, float(x))
+        zs = np.linspace(0, 1, 11)
+        vec = jacobi_eval(p, 6, zs)
+        assert vec.shape == zs.shape
+        for z, v in zip(zs, vec):
+            assert v == jacobi_eval(p, 6, float(z))
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -67,10 +67,10 @@ class TestJacobiEval:
 
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_against_scipy(self, params):
-        xs = np.linspace(-1.0, 1.0, 17)
+        zs = np.linspace(0.0, 1.0, 17)
         for r in (0, 1, 3, 8, 15):
-            ref = scipy.special.eval_jacobi(r, params.mu, params.upsilon, xs)
-            got = jacobi_eval(params, r, xs)
+            ref = scipy.special.eval_jacobi(r, params.mu, params.upsilon, 2.0 * zs - 1.0)
+            got = jacobi_eval(params, r, zs)
             scale = np.maximum(1.0, np.abs(ref))
             assert np.max(np.abs(got - ref) / scale) <= 1e-12
 
@@ -78,25 +78,26 @@ class TestJacobiEval:
 class TestJacobiTable:
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_against_scipy(self, params):
-        xs = np.linspace(-1.0, 1.0, 17)
-        table = jacobi_table(params, 15, xs)
+        zs = np.linspace(0.0, 1.0, 17)
+        table = jacobi_table(params, 15, zs)
         ref = np.array(
-            [scipy.special.eval_jacobi(r, params.mu, params.upsilon, xs) for r in range(16)]
+            [scipy.special.eval_jacobi(r, params.mu, params.upsilon, 2.0 * zs - 1.0)
+             for r in range(16)]
         )
         scale = np.maximum(1.0, np.abs(ref))
         assert np.max(np.abs(table - ref) / scale) <= 1e-12
 
-    @pytest.mark.parametrize("x", [0.3, np.linspace(-1.0, 1.0, 7),
-                                   np.linspace(-1.0, 1.0, 12).reshape(3, 4)],
+    @pytest.mark.parametrize("z", [0.3, np.linspace(0.0, 1.0, 7),
+                                   np.linspace(0.0, 1.0, 12).reshape(3, 4)],
                              ids=["scalar", "1d", "2d"])
     @pytest.mark.parametrize("n", [0, 1, 5])
-    def test_shape_contract(self, x, n):
+    def test_shape_contract(self, z, n):
         p = JacobiParams(-0.5, 0.3)
-        table = jacobi_table(p, n, x)
-        assert table.shape == (n + 1,) + np.shape(x)
+        table = jacobi_table(p, n, z)
+        assert table.shape == (n + 1,) + np.shape(z)
         assert np.all(table[0] == 1.0)
         for r in range(n + 1):
-            assert np.array_equal(table[r], jacobi_eval(p, r, x))
+            assert np.array_equal(table[r], jacobi_eval(p, r, z))
 
 
 class TestJacobiNorm:
@@ -159,8 +160,8 @@ class TestGaussRule:
             for up in (-0.25, -0.5, 0.0, 0.3):
                 params = JacobiParams(mu, up)
                 rule = gauss_rule(params, n + 1)
-                x = 2.0 * rule.nodes - 1.0
-                basis = np.vstack([jacobi_eval(params, r, x) for r in range(n + 1)])
+                basis = np.vstack([jacobi_eval(params, r, rule.nodes)
+                                   for r in range(n + 1)])
                 gram = basis @ (rule.weights[:, None] * basis.T)
                 for r in range(n + 1):
                     for s in range(n + 1):
@@ -187,13 +188,14 @@ class TestGaussRule:
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     @pytest.mark.parametrize("m", [1, 5, 33, 129, 385])
     def test_nodes_are_zeros_of_the_table(self, params, m):
-        # the rule and the table share one recurrence, so at x = 2z - 1 the
-        # Newton step P_m / P_m' is at rounding level; the derivative is
-        # P_m' = (m + mu + upsilon + 1)/2 * P_{m-1} of the shifted pair
-        x = 2.0 * gauss_rule(params, m).nodes - 1.0
-        p_m = jacobi_table(params, m, x)[m]
+        # the rule and the table share one recurrence, so at the nodes the
+        # Newton step P_m / P_m' in x = 2z - 1 is at rounding level; the
+        # derivative is P_m' = (m + mu + upsilon + 1)/2 * P_{m-1} of the
+        # shifted pair
+        z = gauss_rule(params, m).nodes
+        p_m = jacobi_table(params, m, z)[m]
         dp_m = (0.5 * (m + params.mu + params.upsilon + 1.0)
-                * jacobi_table(params.shifted(1), m - 1, x)[m - 1])
+                * jacobi_table(params.shifted(1), m - 1, z)[m - 1])
         assert np.max(np.abs(p_m / dp_m)) <= 4e-15
 
     def test_eigh_failure_is_numerical_error(self, monkeypatch):

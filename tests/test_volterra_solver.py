@@ -157,6 +157,22 @@ class TestKernelTransform:
             ref = ctx.w_nodes ** 0.5 / 0.5
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("rho", [1.0, 0.5, 1.0 / 3.0, 1.0 / 6.0, 0.05])
+    def test_quadrature_z_points_are_affine_in_z(self, rho, n):
+        # 1 - z(rho_i(eta)) = (1 - z_i)(1 - eta), so the z-points are
+        # z_i + (1 - z_i) eta_k; from the float z_i and eta_k they are
+        # within 2 ulp of that value in exact arithmetic
+        ctx = _Assembly(unit_problem(0.5), spec_of(-0.25, -0.25, rho), n)
+        eta = gauss_rule(JacobiParams(1.0 / rho - 1.0, -0.5), n + 1).nodes
+        with mpmath.workdps(40):
+            ref = [[z + (1 - z) * e for e in map(mpmath.mpf, eta.tolist())]
+                   for z in map(mpmath.mpf, ctx.nodes_z.tolist())]
+            err = np.array([[float(mpmath.mpf(q) - r) for q, r in zip(qs, rs)]
+                            for qs, rs in zip(ctx.quad_z.tolist(), ref)])
+            ulp = np.spacing(np.array([[float(r) for r in rs] for rs in ref]))
+        assert np.max(np.abs(err) / ulp) <= 2.0
+
 
 class TestDiscreteOperator:
     def test_zero_function(self):
