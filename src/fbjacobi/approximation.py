@@ -149,12 +149,16 @@ def eval_interpolant(ip: Interpolant, t):
     zs = map_forward(ip.spec, flat)
     out = cardinal_matrix(ip.nodes_z, ip.bary_weights, zs) @ ip.values
     # The z image of a stored node can drift by a few ulps through the t
-    # round trip; exact t matches short-circuit that. t = 1.0 is excluded:
-    # distinct near-terminal nodes can share that representation, so it is
-    # always evaluated through z.
-    for j, tj in enumerate(ip.nodes_t):
-        if tj != 1.0:
-            out[flat == tj] = ip.values[j]
+    # round trip; exact t matches short-circuit that, the last node winning
+    # among nodes that share a t. t = 1.0 is excluded: distinct near-terminal
+    # nodes can share that representation, so it is always evaluated through z.
+    cand = np.flatnonzero(ip.nodes_t != 1.0)
+    order = cand[np.argsort(ip.nodes_t[cand], kind="stable")]
+    sorted_t = ip.nodes_t[order]
+    pos = np.searchsorted(sorted_t, flat, side="right") - 1  # last of equal t
+    hit = pos >= 0
+    hit[hit] = sorted_t[pos[hit]] == flat[hit]
+    out[hit] = ip.values[order[pos[hit]]]
     return out.reshape(arr.shape)[()]
 
 

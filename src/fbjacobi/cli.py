@@ -13,6 +13,8 @@ import ast
 import math
 import sys
 
+import numpy as np
+
 from .approximation import MAX_N, _sample, eval_grid, linf_error, weighted_l2_error
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams
@@ -31,6 +33,17 @@ _GRAMMAR = (ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Co
             ast.IfExp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
             ast.UAdd, ast.USub, ast.Not, ast.And, ast.Or,
             ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+# Constructs kept scalar: a comparison maps a NaN to False, so the array form
+# could return a finite value where the scalar form raises.
+_SCALAR_ONLY = (ast.Compare, ast.BoolOp, ast.IfExp, ast.Not)
+# math functions and the numpy ufunc of the same meaning, within one ulp of
+# math on float64 (sinh, tanh, asinh, acosh, atanh, log10 and cbrt are not).
+_UFUNCS = {"exp": np.exp, "expm1": np.expm1, "exp2": np.exp2, "log": np.log,
+           "log1p": np.log1p, "log2": np.log2, "sqrt": np.sqrt, "sin": np.sin,
+           "cos": np.cos, "tan": np.tan, "asin": np.arcsin, "acos": np.arccos,
+           "atan": np.arctan, "atan2": np.arctan2, "cosh": np.cosh, "hypot": np.hypot,
+           "fabs": np.fabs, "copysign": np.copysign, "fmod": np.fmod,
+           "degrees": np.degrees, "radians": np.radians}
 
 
 class UsageError(Exception):
@@ -92,20 +105,79 @@ def _check_expr(node, names) -> None:
             _check_expr(child, names)
 
 
+def _finite(x):
+    """x, if it is real and every value is finite; else ValueError. (Python
+    gives a complex for (-8) ** 0.5, which float() refuses.)"""
+    if np.iscomplexobj(x) or not np.isfinite(x).all():
+        raise ValueError("not real and finite")
+    return x
+
+
+def _has_array_form(tree) -> bool:
+    """True when each math call has a ufunc in `_UFUNCS` that takes as many
+    arguments, and there is no comparison, and/or/not or if-else."""
+    for node in ast.walk(tree):
+        if isinstance(node, _SCALAR_ONLY):
+            return False
+        if isinstance(node, ast.Call):
+            ufunc = _UFUNCS.get(node.func.attr)
+            if ufunc is None or ufunc.nin != len(node.args):
+                return False
+    return True
+
+
+class _ArrayForm(ast.NodeTransformer):
+    """Rewrites a checked expression for arrays: each math call becomes its
+    ufunc, and the value of each call and binary operation passes through
+    `_finite`, so no non-finite intermediate (1/0, log(0)) can be hidden by a
+    later step (exp(-1/0) is 0 in numpy, ZeroDivisionError in Python)."""
+
+    def visit_BinOp(self, node):
+        return ast.Call(ast.Name("_finite", ast.Load()), [self.generic_visit(node)], [])
+
+    def visit_Call(self, node):
+        node.func = ast.Name(node.func.attr, ast.Load())
+        return self.visit_BinOp(node)
+
+
+def _lambda(body, names, namespace):
+    """The expression `body` compiled once, as a lambda of `names`."""
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
+    return eval(compile(lam, "<expr>", "eval"), namespace)
+
+
 def _expr_function(expr: str, names):
-    """Compile a custom expression in `names` to a scalar function returning
-    float; raises UsageError if it does not parse or leaves the grammar. The
-    checked tree is compiled once, as the body of a lambda of `names`."""
+    """Compile a custom expression in `names` to a function returning float
+    for scalar arguments; raises UsageError if it does not parse or leaves the
+    grammar. When `_has_array_form`, array arguments go to an array form
+    compiled from the same tree; it raises ValueError when a value is not
+    finite or numpy raises, so that `_sample` evaluates the scalar form point
+    by point and any error is the scalar form's own."""
     try:
         tree = ast.parse(expr, "<expr>", "eval")
     except SyntaxError as exc:
         raise UsageError(f"invalid expression {expr!r}: {exc.msg}") from exc
     _check_expr(tree, names)
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
-    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
-    f = eval(compile(lam, "<expr>", "eval"), {"__builtins__": {}, "math": math})
-    return lambda *a: float(f(*(float(x) for x in a)))
+    f = _lambda(tree.body, names, {"__builtins__": {}, "math": math})
+    scalar = lambda *a: float(f(*(float(x) for x in a)))
+    if not _has_array_form(tree):
+        return scalar
+    # The scalar form is compiled, so the tree can be rewritten in place.
+    array_f = _lambda(_ArrayForm().visit(tree.body), names,
+                      {"__builtins__": {}, "math": math, "_finite": _finite, **_UFUNCS})
+
+    def func(*a):
+        if not any(np.ndim(x) for x in a):
+            return scalar(*a)
+        try:
+            with np.errstate(all="ignore"):
+                return _finite(array_f(*(np.asarray(x, dtype=float) for x in a)))
+        except (ArithmeticError, TypeError, ValueError) as exc:  # 1 // 0, 10**400 * t
+            raise ValueError(f"{expr!r} needs point-by-point evaluation") from exc
+
+    return func
 
 
 def _setup(args):
@@ -142,11 +214,13 @@ def cmd_solve(args) -> int:
     sol = solve(problem, spec, args.n)
     ts = eval_grid(args.rho, args.eval_points)
     u_num = sol.interpolant(ts)
-    u_ex = [None] * len(ts) if problem.exact is None else _sample(problem.exact, ts)
-    lines = ["t,u_num,u_exact,abs_error"]
-    for t, un, ue in zip(ts, u_num, u_ex):
-        err = None if ue is None else abs(un - ue)
-        lines.append(f"{_num(t)},{_num(un)},{_num(ue)},{_num(err)}")
+    cols = [ts, u_num]
+    if problem.exact is not None:
+        u_ex = _sample(problem.exact, ts)
+        cols += [u_ex, np.abs(u_num - u_ex)]
+    # repr of a float is _num's form; a missing exact solution leaves two empty cells
+    cells = [map(repr, c.tolist()) for c in cols] + [[""] * len(ts)] * (4 - len(cols))
+    lines = ["t,u_num,u_exact,abs_error", *map(",".join, zip(*cells))]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -56,17 +56,20 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def _recurrence_coeffs(params: JacobiParams, k: int):
-    """(A_k, B_k, C_k) of P_{k+1}(x) = (A_k x + B_k) P_k(x) - C_k P_{k-1}(x)."""
+def _recurrence_coeffs(params: JacobiParams, m: int):
+    """Arrays A_k, B_k, C_k (k < m) of the recurrence
+    P_{k+1}(x) = (A_k x + B_k) P_k(x) - C_k P_{k-1}(x); row 0 is P_1 = A_0 x + B_0."""
     mu, up = params.mu, params.upsilon
     s = mu + up
-    if k == 0:
-        return (s + 2.0) / 2.0, (mu - up) / 2.0, 0.0
+    k = np.arange(m, dtype=float)
     two = 2.0 * k + s
     denom = 2.0 * (k + 1.0) * (k + s + 1.0)
-    a = (two + 1.0) * (two + 2.0) / denom
-    b = (two + 1.0) * (mu * mu - up * up) / (denom * two)
-    c = 2.0 * (k + mu) * (k + up) * (two + 2.0) / (denom * two)
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is replaced below
+        a = (two + 1.0) * (two + 2.0) / denom
+        b = (two + 1.0) * (mu * mu - up * up) / (denom * two)
+        c = 2.0 * (k + mu) * (k + up) * (two + 2.0) / (denom * two)
+    if m:
+        a[0], b[0], c[0] = (s + 2.0) / 2.0, (mu - up) / 2.0, 0.0
     return a, b, c
 
 
@@ -79,12 +82,11 @@ def jacobi_table(params: JacobiParams, n: int, z) -> np.ndarray:
     x = 2.0 * np.asarray(z, dtype=float) - 1.0
     table = np.empty((n + 1,) + x.shape)
     table[0] = 1.0
+    a, b, c = (v.tolist() for v in _recurrence_coeffs(params, n))
     if n >= 1:
-        a0, b0, _ = _recurrence_coeffs(params, 0)
-        table[1] = a0 * x + b0
+        table[1] = a[0] * x + b[0]
     for k in range(1, n):
-        a, b, c = _recurrence_coeffs(params, k)
-        table[k + 1] = (a * x + b) * table[k] - c * table[k - 1]
+        table[k + 1] = (a[k] * x + b[k]) * table[k] - c[k] * table[k - 1]
     return table
 
 
@@ -127,11 +129,12 @@ def gauss_rule(params: JacobiParams, m: int) -> QuadratureRule:
         raise ValueError(f"rule size must be >= 1, got {m}")
     mass = jacobi_norm(params, 0)
     # Monic Jacobi matrix on [-1,1] from the recurrence of P_k, then halved
-    # and shifted by the affine map x = 2z - 1.
-    a, b, c = np.array([_recurrence_coeffs(params, k) for k in range(m)]).T
-    diag = (1.0 - b / a) / 2.0
-    half_off = np.sqrt(c[1:] / (a[:-1] * a[1:])) / 2.0
-    jac = np.diag(diag) + np.diag(half_off, 1) + np.diag(half_off, -1)
+    # and shifted by the affine map x = 2z - 1; only the lower triangle, which
+    # eigh reads, is set.
+    a, b, c = _recurrence_coeffs(params, m)
+    jac = np.zeros((m, m))
+    jac.flat[::m + 1] = (1.0 - b / a) / 2.0
+    jac.flat[m::m + 1] = np.sqrt(c[1:] / (a[:-1] * a[1:])) / 2.0
     try:
         nodes, vectors = np.linalg.eigh(jac)
     except np.linalg.LinAlgError as exc:

@@ -145,11 +145,17 @@ def example1(theta: float) -> ProblemDefinition:
         out = np.where(w > 0.0, w, 1.0) ** (1.0 - theta) * np.sinc(w / np.pi)
         return np.where(w > 0.0, out, 0.0)[()]
 
-    def g_w(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        half = 0.5 * w
-        return float(u_w(w)) - scale * w**nu * math.sin(half) * bessel_j(nu, half)
+    def g_w(w):
+        w = np.asarray(w, dtype=float)
+        edge = w <= 0.0  # g is 0 there; the closed form is evaluated at w = 1
+        w_in = np.where(edge, 1.0, w)
+        half = 0.5 * w_in
+        # Python's pow and math.sin per element: numpy's can be an ulp away,
+        # which the theta = 2/3 systems (cond ~ 1e8) turn into 1e-9 in u.
+        pw = np.array([x**nu for x in w_in.ravel().tolist()]).reshape(w.shape)
+        sn = np.array([math.sin(h) for h in half.ravel().tolist()]).reshape(w.shape)
+        g = u_w(w_in) - scale * pw * sn * bessel_j(nu, half)
+        return np.where(edge, 0.0, g)[()]
 
     prob = ProblemDefinition(theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w)
     mismatch = _source_mismatch(prob)

@@ -1,4 +1,4 @@
-"""Scalar special functions shared by every other module.
+"""Special functions shared by every other module.
 
 All gamma-type quantities are routed through ``log_gamma`` so that ratios of
 large gamma values never overflow; series are truncated by a relative-term
@@ -6,6 +6,8 @@ criterion so accuracy is uniform over the admissible parameter ranges.
 """
 
 import math
+
+import numpy as np
 
 # Term caps of the two series; the relative-term stop criterion normally
 # ends them sooner.
@@ -34,33 +36,36 @@ def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x), nu > -1, x >= 0.
+def bessel_j(nu: float, x):
+    """Bessel function of the first kind J_nu(x), nu > -1, x >= 0; x may be
+    a scalar (a numpy float64 is returned) or an array (an array of its shape).
 
-    Ascending series (x/2)^nu * sum_i (-(x/2)^2)^i / (i! Gamma(nu+i+1)),
-    truncated once the next term falls below 1e-16 of the partial sum.
+    Ascending series (x/2)^nu * sum_i (-(x/2)^2)^i / (i! Gamma(nu+i+1)). Each
+    element stops once its next term falls below 1e-16 of its partial sum.
     Intended for the small-argument range x <= O(10).
     """
     if not nu > -1.0:
         raise ValueError(f"bessel_j requires nu > -1, got {nu}")
-    if not x >= 0.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
         raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
-        return math.inf  # (x/2)^nu -> +inf for -1 < nu < 0
-    half = 0.5 * x
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
-    total = term
+    # At x = 0 the series is its leading term: 1 for nu = 0, else (x/2)^nu.
+    at_zero = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
+    live = np.flatnonzero(x)  # the flat indices still summing
+    half = 0.5 * x.ravel()[live]
+    lg = math.lgamma(nu + 1.0)  # math's exp and log: numpy's can be ulps away
+    term = np.array([math.exp(nu * math.log(h) - lg) for h in half.tolist()])
+    total = np.full(x.size, at_zero)
+    total[live] = term
     msq = -half * half
     for i in range(1, _BESSEL_MAX_TERMS):
-        term *= msq / (i * (nu + i))
-        total += term
-        if abs(term) < 1e-16 * abs(total):
+        if not live.size:
             break
-    return total
+        term *= msq / (i * (nu + i))
+        total[live] += term
+        going = ~(np.abs(term) < 1e-16 * np.abs(total[live]))
+        live, term, msq = live[going], term[going], msq[going]
+    return total.reshape(x.shape)[()]
 
 
 def mittag_leffler(sigma: float, z: float) -> float:

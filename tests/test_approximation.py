@@ -9,6 +9,7 @@ from fbjacobi import approximation
 from fbjacobi.approximation import (
     MAX_N,
     Expansion,
+    Interpolant,
     _node_set,
     _sample,
     barycentric_weights,
@@ -222,6 +223,42 @@ class TestInterpolate:
         got = eval_interpolant(ip, ts.reshape(shape))
         assert got.shape == shape
         assert np.array_equal(got, eval_interpolant(ip, ts).reshape(shape))
+
+    @staticmethod
+    def _node_loop(ip, ts):
+        """The exact-t rule written as a loop: the last node wins, and
+        t = 1.0 is never matched."""
+        out = cardinal_matrix(ip.nodes_z, ip.bary_weights,
+                              map_forward(ip.spec, ts)) @ ip.values
+        for j, tj in enumerate(ip.nodes_t):
+            if tj != 1.0:
+                out[ts == tj] = ip.values[j]
+        return out
+
+    def test_exact_node_inputs(self):
+        s = spec_of(-0.5, -0.5, 0.5)
+        ip = interpolate(s, 64, lambda t: np.cos(4.0 * np.asarray(t)))
+        distinct = ip.nodes_t < 1.0
+        ts = np.concatenate([ip.nodes_t[::-1], eval_grid(0.5, 101), [1.0, -0.0, np.nan]])
+        got = eval_interpolant(ip, ts)
+        assert np.array_equal(got, self._node_loop(ip, ts), equal_nan=True)
+        assert np.array_equal(got[:65][::-1][distinct], ip.values[distinct])
+        assert eval_interpolant(ip, ip.nodes_t[5]) == ip.values[5]
+
+    def test_coinciding_near_terminal_nodes(self):
+        # at small rho and large N many near-terminal nodes share one t; the
+        # last of them gives the value, and t = 1.0 always goes through z
+        s = spec_of(-0.5, -0.5, 0.02)
+        ip = interpolate(s, 600, lambda t: np.asarray(t) ** 2)
+        ip = Interpolant(s, ip.nodes_z, ip.nodes_t,
+                         np.random.default_rng(2).standard_normal(601), ip.bary_weights)
+        t_vals, counts = np.unique(ip.nodes_t[ip.nodes_t < 1.0], return_counts=True)
+        assert counts.max() > 1 and np.count_nonzero(ip.nodes_t == 1.0) > 1
+        ts = np.concatenate([t_vals, ip.nodes_t, [1.0]])
+        got = eval_interpolant(ip, ts)
+        assert np.array_equal(got, self._node_loop(ip, ts))
+        last = {t: v for t, v in zip(ip.nodes_t.tolist(), ip.values.tolist())}
+        assert got[:len(t_vals)].tolist() == [last[t] for t in t_vals.tolist()]
 
     def test_singular_function_error_near_best(self):
         # interpolation of (1-t)^sqrt(2) lands within a factor of 10 of a

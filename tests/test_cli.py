@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import math
 import pathlib
 import re
@@ -9,8 +10,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fbjacobi import selfcheck
-from fbjacobi.cli import _convergence_csv, main
+from fbjacobi import cli, selfcheck
+from fbjacobi.approximation import _sample
+from fbjacobi.cli import _convergence_csv, _expr_function, main
 from fbjacobi.selfcheck import run_all
 from fbjacobi.svgplot import render_semilog
 
@@ -346,12 +348,138 @@ class TestExitCodes:
                      3, "NumericalError: non-finite matrix: ", id="nan-kernel-solve"),
         pytest.param(["converge", "--l2-weight=abc"], 2,
                      "--l2-weight expects 'mu,upsilon', got 'abc'", id="l2-weight-not-a-pair"),
+        # the array form gives NaN at t < 0.5; the scalar form raises at node 0
+        pytest.param(CUSTOM + ["--kernel-expr", "1.0", "--source-expr", "math.sqrt(t-0.5)"],
+                     3, "NumericalError: source evaluation failed at node 0 (t = ",
+                     id="source-nan-in-array-form"),
+        # the last grid t rounds to 1: numpy's exp(-1/0) is 0, Python's 1/0 raises
+        pytest.param(CUSTOM + ["--kernel-expr", "1.0", "--source-expr", "1.0",
+                               "--exact-expr", "math.exp(-1/(1-t))"],
+                     3, "ZeroDivisionError: float division by zero",
+                     id="exact-hidden-division-by-zero"),
     ])
     def test_exit_code(self, argv, code, message, tmp_path, capsys):
         assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+
+def _scalar_values(f, t, p):
+    """f point by point in ravel order: the values, or the first exception."""
+    vals = []
+    for a, b in zip(t.ravel().tolist(), p.ravel().tolist()):
+        try:
+            vals.append(f(a, b))
+        except Exception as exc:
+            return exc
+    return np.array(vals).reshape(t.shape)
+
+
+def _within_one_ulp(a, b):
+    return bool(np.all((a == b) | (np.nextafter(b, a) == a) | (np.isnan(a) & np.isnan(b))))
+
+
+# Grid with the domain edges: zero of both signs, negative bases, 1 and above.
+EDGES = np.array([-2.5, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+INSIDE = np.linspace(0.05, 0.95, 7)
+# (expression in t and p, whether it has an array form)
+AGREEMENT = [
+    ("t + p", True), ("t - p", True), ("t * p", True), ("t / p", True),
+    ("t // p", True), ("t % p", True), ("t ** p", True), ("-t + +p", True),
+    ("t ** 2", True), ("t ** 0.5", True), ("t ** -1", True), ("(-t) ** 3", True),
+    ("2 ** -1 * t", True), ("7 // 2 + t % 0.3 - t // 0.3", True), ("t // -0.0", True),
+    ("t % math.inf + t // math.inf", True), ("math.pi * t + math.e ** p", True),
+    ("1e308 * (t + 1) * 10", True), ("10 ** 400 * t", True), ("math.nan * t", True),
+    ("math.exp(t)", True), ("math.expm1(t)", True), ("math.exp2(t)", True),
+    ("math.log(t)", True), ("math.log1p(t)", True), ("math.log2(t)", True),
+    ("math.sqrt(t)", True), ("math.sin(t)", True), ("math.cos(t)", True),
+    ("math.tan(t)", True), ("math.asin(t)", True), ("math.acos(t)", True),
+    ("math.atan(t)", True), ("math.atan2(t, p)", True), ("math.cosh(t)", True),
+    ("math.hypot(t, p)", True), ("math.fabs(t)", True), ("math.copysign(t, p)", True),
+    ("math.fmod(t, p)", True), ("math.degrees(t)", True), ("math.radians(t)", True),
+    ("math.exp(-1 / t)", True), ("math.atan(1 / (1 / t))", True), ("math.exp(1000 * p)", True),
+    ("(-t) ** 0.5", True), ("(-8) ** 0.5 * t", True), ("0.0 ** t", True), ("math.exp(p) * (1 + t) ** 1.5", True),
+    # kept scalar: math names without a same-meaning ufunc, other argument
+    # counts, and the constructs that can turn a NaN into a finite value
+    ("math.log(t, 2)", False), ("math.log(t, p)", False), ("math.floor(t)", False),
+    ("math.pow(t, p)", False), ("math.sinh(t)", False), ("math.hypot(t, p, 1)", False),
+    ("t and p", False), ("t or p", False), ("not t", False), ("t if p > 0 else -t", False),
+    ("0 < t < p", False), ("t == p", False), ("1.0 if math.log(t) > 0 else 2.0", False),
+]
+
+
+class TestExpressionArrayForm:
+    """Each expression gives its scalar form's values, or its first error in
+    ravel order, through `_sample`; one with an array form does so in one
+    call wherever every scalar value is finite, within one ulp."""
+
+    @pytest.mark.parametrize("expr, vectorises", AGREEMENT, ids=[e for e, _ in AGREEMENT])
+    @pytest.mark.parametrize("grid", ["edges", "inside"])
+    def test_agrees_with_scalar_form(self, expr, vectorises, grid):
+        base = EDGES if grid == "edges" else INSIDE
+        t, p = np.meshgrid(base, base[::-1] + 0.125, indexing="ij")
+        f = _expr_function(expr, ("t", "p"))
+        calls = []
+
+        def counted(*a):
+            calls.append(a)
+            return f(*a)
+
+        expected = _scalar_values(f, t, p)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as info:
+                _sample(counted, t, p)
+            assert str(info.value) == str(expected)
+            return
+        got = _sample(counted, t, p)
+        assert _within_one_ulp(got, expected)
+        array_path = vectorises and bool(np.isfinite(expected).all())
+        assert len(calls) == (1 if array_path else 1 + t.size)
+
+    def test_scalar_arguments_take_the_scalar_form(self):
+        f = _expr_function("math.log(t - 0.5)", ("t",))
+        with pytest.raises(ValueError, match="math domain error"):
+            f(0.25)
+        assert f(np.float64(1.5)) == math.log(1.0) and type(f(1.5)) is float
+
+    def test_log_with_base_leaves_the_callers_array_alone(self):
+        # np.log's second positional argument is `out`
+        f = _expr_function("math.log(t, p)", ("t", "p"))
+        t, p = np.linspace(0.5, 4.0, 5), np.linspace(1.5, 3.0, 5)
+        p_before = p.copy()
+        got = _sample(f, t, p)
+        assert np.array_equal(p, p_before)
+        assert got.tolist() == [math.log(a, b) for a, b in zip(t.tolist(), p.tolist())]
+
+    def test_array_form_namespace(self):
+        f = _expr_function("math.exp(t)", ("t",))
+        array_f = inspect.getclosurevars(f).nonlocals["array_f"]
+        assert set(array_f.__globals__) == {"__builtins__", "math", "_finite", *cli._UFUNCS}
+        assert array_f.__globals__["__builtins__"] == {}
+        assert all(isinstance(u, np.ufunc) for u in cli._UFUNCS.values())
+
+
+def _counting(f, log, name):
+    def wrapper(*args):
+        log.append((name, any(np.ndim(a) for a in args)))
+        return f(*args)
+    return wrapper
+
+
+def test_custom_solve_samples_kernel_and_source_once(tmp_path, monkeypatch):
+    # nine scalar kernel probes at construction, then one array call each
+    log = []
+    compile_expr = cli._expr_function
+    monkeypatch.setattr(cli, "_expr_function",
+                        lambda expr, names: _counting(compile_expr(expr, names), log, expr))
+    code = main(["solve", "--problem", "custom", "--n", "32", "--eval-points", "101",
+                 "--kernel-expr", "math.exp(-t)*(1+p)", "--source-expr", "(1-t)**1.5",
+                 "--exact-expr", "(1-t)**1.5", "--out", str(tmp_path / "sol.csv")])
+    assert code == 0
+    kernel = [is_array for name, is_array in log if name == "math.exp(-t)*(1+p)"]
+    assert kernel == [False] * 9 + [True]
+    assert [is_array for name, is_array in log if name == "(1-t)**1.5"] == [True, True]
 
 
 class TestSvgPlot:

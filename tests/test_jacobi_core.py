@@ -9,6 +9,7 @@ from fbjacobi.jacobi_core import (
     JacobiParams,
     NumericalError,
     QuadratureRule,
+    _recurrence_coeffs,
     gauss_rule,
     jacobi_eval,
     jacobi_norm,
@@ -107,6 +108,42 @@ class TestJacobiNorm:
         assert abs(jacobi_norm(JacobiParams(0, 0), 1) - 1.0 / 3.0) < 1e-14
         # Chebyshev mass: the general formula is 0*inf at r=0
         assert abs(jacobi_norm(JacobiParams(-0.5, -0.5), 0) - math.pi) < 1e-13
+
+
+def _coeffs_reference(params, k):
+    """(A_k, B_k, C_k) of the Jacobi recurrence, one k at a time."""
+    mu, up = params.mu, params.upsilon
+    s = mu + up
+    if k == 0:
+        return (s + 2.0) / 2.0, (mu - up) / 2.0, 0.0
+    two = 2.0 * k + s
+    denom = 2.0 * (k + 1.0) * (k + s + 1.0)
+    return ((two + 1.0) * (two + 2.0) / denom,
+            (two + 1.0) * (mu * mu - up * up) / (denom * two),
+            2.0 * (k + mu) * (k + up) * (two + 2.0) / (denom * two))
+
+
+class TestRecurrenceCoeffs:
+    @pytest.mark.parametrize("params", PARAM_GRID + [JacobiParams(-0.5, 0.5)], ids=str)
+    def test_arrays_match_the_formula_bit_for_bit(self, params):
+        m = 130
+        ref = np.array([_coeffs_reference(params, k) for k in range(m)]).T
+        got = np.array(_recurrence_coeffs(params, m))
+        assert got.shape == (3, m) and np.array_equal(got, ref)
+        assert all(len(v) == 0 for v in _recurrence_coeffs(params, 0))
+
+    @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+    @pytest.mark.parametrize("m", [1, 2, 17, 130])
+    def test_rule_matches_the_three_diagonal_build(self, params, m):
+        # the rule from the directly filled matrix is the one from the sum of
+        # three np.diag matrices of the reference coefficients, bit for bit
+        a, b, c = np.array([_coeffs_reference(params, k) for k in range(m)]).T
+        off = np.sqrt(c[1:] / (a[:-1] * a[1:])) / 2.0
+        jac = np.diag((1.0 - b / a) / 2.0) + np.diag(off, 1) + np.diag(off, -1)
+        nodes, vectors = np.linalg.eigh(jac)
+        rule = gauss_rule(params, m)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, jacobi_norm(params, 0) * vectors[0, :] ** 2)
 
 
 class TestGaussRule:

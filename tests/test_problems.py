@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import fbjacobi.problems
-from fbjacobi.jacobi_core import NumericalError
+from fbjacobi.backward_basis import BackwardSpec
+from fbjacobi.jacobi_core import JacobiParams, NumericalError
 from fbjacobi.problems import (
     _oracle_core,
     _panel_rule,
@@ -15,6 +16,7 @@ from fbjacobi.problems import (
     regularity_index,
 )
 from fbjacobi.special_functions import beta
+from fbjacobi.volterra_solver import ProblemDefinition, solve
 
 UNIT_K = lambda t, p: 1.0
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -106,6 +108,35 @@ class TestExample1:
         prob = example1(2.0 / 3.0)
         for t in (0.0, 0.3, 0.8, 0.99):
             assert abs(prob.source_w(1.0 - t) - prob.source(t)) <= 1e-15
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 2.0 / 3.0])
+    def test_source_w_on_arrays(self, theta):
+        # elementwise the 0-d values; 0 at and below the terminal endpoint
+        g_w = example1(theta).source_w
+        w = np.array([[-0.5, -0.0, 0.0, 1e-12], [0.01, 0.3, 0.75, 1.0]])
+        got = g_w(w)
+        assert got.shape == w.shape
+        assert got.tolist() == [[g_w(v) for v in row] for row in w.tolist()]
+        assert got[0, :3].tolist() == [0.0, 0.0, 0.0]
+        assert type(g_w(0.5)) is np.float64 and g_w(0.0) == 0.0
+
+    def test_solve_reads_source_and_kernel_once(self):
+        # nine scalar kernel probes at construction, then one array call each
+        prob = example1(0.4)
+        log = []
+
+        def counting(f, name):
+            def wrapper(*args):
+                log.append((name, any(np.ndim(a) for a in args)))
+                return f(*args)
+            return wrapper
+
+        counted = ProblemDefinition(theta=prob.theta, kernel=counting(prob.kernel, "kernel"),
+                                    source_w=counting(prob.source_w, "source"),
+                                    exact_w=prob.exact_w)
+        solve(counted, BackwardSpec(JacobiParams(-0.25, -0.25), 0.5), 48)
+        assert [a for name, a in log if name == "kernel"] == [False] * 9 + [True]
+        assert [a for name, a in log if name == "source"] == [True]
 
 
 class TestCaseI:

@@ -130,6 +130,43 @@ class TestBesselJ:
             bessel_j(-1.0, 1.0)
         with pytest.raises(ValueError, match="bessel_j requires x >= 0"):
             bessel_j(0.5, -0.1)
+        with pytest.raises(ValueError, match="bessel_j requires x >= 0"):
+            bessel_j(0.5, np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match="bessel_j requires x >= 0"):
+            bessel_j(0.5, math.nan)
+
+    @pytest.mark.parametrize("nu", [-0.4, -1.0 / 6.0, 0.0, 0.25, 1.5])
+    def test_array_equals_scalar_series(self, nu):
+        # each element runs the series' own terms and stopping rule, so the
+        # array value is the scalar series' value bit for bit
+        def series(nu, x):
+            if x == 0.0:
+                return 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
+            half = 0.5 * x
+            term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+            total = term
+            for i in range(1, 200):
+                term *= -half * half / (i * (nu + i))
+                total += term
+                if abs(term) < 1e-16 * abs(total):
+                    break
+            return total
+
+        x = np.concatenate([[0.0, 1e-300, 1e-8, 4.0, 9.5],
+                            np.random.default_rng(3).uniform(0.0, 1.0, 300)])
+        got = bessel_j(nu, x)
+        assert got.tolist() == [series(nu, v) for v in x.tolist()]
+        assert got.tolist() == [bessel_j(nu, v) for v in x.tolist()]
+
+    def test_zero_dimensional_rule(self):
+        assert type(bessel_j(0.25, 0.5)) is np.float64
+        assert type(bessel_j(0.25, np.array(0.5))) is np.float64
+        assert type(bessel_j(0.25, 0.0)) is np.float64
+        x = np.array([[0.0, 0.5, 1.0], [2.0, 1e-8, 0.25]])
+        got = bessel_j(-0.25, x)
+        assert got.shape == (2, 3)
+        assert got[0, 0] == math.inf and np.array_equal(got.ravel(), bessel_j(-0.25, x.ravel()))
+        assert bessel_j(0.5, np.empty((0, 2))).shape == (0, 2)
 
 
 class TestMittagLeffler:
