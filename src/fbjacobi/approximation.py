@@ -13,21 +13,34 @@ import numpy as np
 from .backward_basis import BackwardSpec, map_forward, map_inverse
 from .jacobi_core import JacobiParams, gauss_rule, jacobi_norm, jacobi_table
 
-# Largest N a node set is built for: the barycentric weights of the N+1 nodes
-# overflow to NaN from N = 1250 (finite up to 1225).
+# Largest N a node set is built for: the solve is O(N^3), and the Gauss rules
+# and solves are tested up to here.
 MAX_N = 1200
+# Node-gap columns per block of the barycentric product.
+_GAP_BLOCK = 256
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     """Second-form barycentric weights for the given z nodes, normalized to
     unit maximum magnitude (the form is scale invariant).
 
-    The node gaps are scaled by 4 so that their products stay finite up to
-    N of about 1200; a power of two changes no rounding.
+    Each weight is 1 / prod_k 4 (z_j - z_k). That product overflows from N of
+    about 1096, so it is taken over interleaved blocks of at most
+    `_GAP_BLOCK` columns, and after each block the binary exponent is split
+    off with frexp and summed as an integer. A block takes every `blocks`-th
+    node, so its nodes spread over [0,1] like the whole set and its partial
+    products stay within 1e+-75 (measured up to N = 4000), where a block of
+    256 neighbouring nodes reaches 1e-309 at N = 1200. Powers of two add no rounding: up to
+    256 nodes (one block) the weights equal the plain product's bit for bit.
     """
     gaps = 4.0 * (nodes[:, None] - nodes[None, :])
     np.fill_diagonal(gaps, 1.0)
-    w = 1.0 / np.prod(gaps, axis=1)
+    blocks = -(-len(nodes) // _GAP_BLOCK)
+    mantissa, exponent = np.frexp(np.prod(gaps[:, ::blocks], axis=1))
+    for b in range(1, blocks):
+        mantissa, e = np.frexp(mantissa * np.prod(gaps[:, b::blocks], axis=1))
+        exponent += e
+    w = np.ldexp(1.0 / mantissa, exponent.min() - exponent)
     return w / np.max(np.abs(w))
 
 

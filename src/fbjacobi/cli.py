@@ -12,12 +12,13 @@ import argparse
 import ast
 import math
 import sys
+import types
 
 import numpy as np
 
 from .approximation import MAX_N, _sample, eval_grid, linf_error, weighted_l2_error
 from .backward_basis import BackwardSpec
-from .jacobi_core import JacobiParams
+from .jacobi_core import JacobiParams, NumericalError
 from .problems import case_i, case_ii, example1, regularity_index
 from .selfcheck import run_all
 from .svgplot import render_semilog
@@ -33,8 +34,8 @@ _GRAMMAR = (ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Co
             ast.IfExp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
             ast.UAdd, ast.USub, ast.Not, ast.And, ast.Or,
             ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-# Constructs kept scalar: a comparison maps a NaN to False, so the array form
-# could return a finite value where the scalar form raises.
+# Constructs kept scalar: their numpy bools are not Python's 0 and 1 (numpy
+# bools add as logical `or`, and np.exp(True) is float16).
 _SCALAR_ONLY = (ast.Compare, ast.BoolOp, ast.IfExp, ast.Not)
 # math functions and the numpy ufunc of the same meaning, within one ulp of
 # math on float64 (sinh, tanh, asinh, acosh, atanh, log10 and cbrt are not).
@@ -44,6 +45,9 @@ _UFUNCS = {"exp": np.exp, "expm1": np.expm1, "exp2": np.exp2, "log": np.log,
            "atan": np.arctan, "atan2": np.arctan2, "cosh": np.cosh, "hypot": np.hypot,
            "fabs": np.fabs, "copysign": np.copysign, "fmod": np.fmod,
            "degrees": np.degrees, "radians": np.radians}
+# The array form's `math`: math's public attributes, with the `_UFUNCS` in place.
+_ARRAY_MATH = types.SimpleNamespace(
+    **({name: v for name, v in vars(math).items() if not name.startswith("_")} | _UFUNCS))
 
 
 class UsageError(Exception):
@@ -81,10 +85,12 @@ def _require(ok: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _check_expr(node, names) -> None:
+def _check_expr(node, names) -> bool:
     """Raise UsageError unless `node` lies in the custom expression grammar:
     the given names, public math attributes and positional calls to them,
-    int/float constants, arithmetic, comparisons, and/or/not and if-else."""
+    int/float constants, arithmetic, comparisons, and/or/not and if-else.
+    Return whether it has an array form: each math call has a ufunc in
+    `_UFUNCS` that takes as many arguments, and nothing is `_SCALAR_ONLY`."""
     if isinstance(node, ast.Attribute):  # math.<public name>, checked whole
         ok = (isinstance(node.value, ast.Name) and node.value.id == "math"
               and not node.attr.startswith("_") and hasattr(math, node.attr))
@@ -100,9 +106,12 @@ def _check_expr(node, names) -> None:
     if not ok:
         raise UsageError(f"{ast.unparse(node)!r} is not allowed in a custom expression "
                          f"(names {', '.join(names)}, math.*, numbers and operators)")
-    if not isinstance(node, ast.Attribute):
-        for child in ast.iter_child_nodes(node):
-            _check_expr(child, names)
+    if isinstance(node, ast.Attribute):
+        return True
+    array = not isinstance(node, _SCALAR_ONLY)
+    if isinstance(node, ast.Call):
+        array = getattr(_UFUNCS.get(node.func.attr), "nin", None) == len(node.args)
+    return all([array] + [_check_expr(child, names) for child in ast.iter_child_nodes(node)])
 
 
 def _finite(x):
@@ -111,33 +120,6 @@ def _finite(x):
     if np.iscomplexobj(x) or not np.isfinite(x).all():
         raise ValueError("not real and finite")
     return x
-
-
-def _has_array_form(tree) -> bool:
-    """True when each math call has a ufunc in `_UFUNCS` that takes as many
-    arguments, and there is no comparison, and/or/not or if-else."""
-    for node in ast.walk(tree):
-        if isinstance(node, _SCALAR_ONLY):
-            return False
-        if isinstance(node, ast.Call):
-            ufunc = _UFUNCS.get(node.func.attr)
-            if ufunc is None or ufunc.nin != len(node.args):
-                return False
-    return True
-
-
-class _ArrayForm(ast.NodeTransformer):
-    """Rewrites a checked expression for arrays: each math call becomes its
-    ufunc, and the value of each call and binary operation passes through
-    `_finite`, so no non-finite intermediate (1/0, log(0)) can be hidden by a
-    later step (exp(-1/0) is 0 in numpy, ZeroDivisionError in Python)."""
-
-    def visit_BinOp(self, node):
-        return ast.Call(ast.Name("_finite", ast.Load()), [self.generic_visit(node)], [])
-
-    def visit_Call(self, node):
-        node.func = ast.Name(node.func.attr, ast.Load())
-        return self.visit_BinOp(node)
 
 
 def _lambda(body, names, namespace):
@@ -151,28 +133,28 @@ def _lambda(body, names, namespace):
 def _expr_function(expr: str, names):
     """Compile a custom expression in `names` to a function returning float
     for scalar arguments; raises UsageError if it does not parse or leaves the
-    grammar. When `_has_array_form`, array arguments go to an array form
-    compiled from the same tree; it raises ValueError when a value is not
-    finite or numpy raises, so that `_sample` evaluates the scalar form point
-    by point and any error is the scalar form's own."""
+    grammar. If it has an array form, array arguments run the same tree against
+    `_ARRAY_MATH`, where numpy traps each step at which Python raises on
+    finite values (1/0, log(0), exp(1000)); an inf or nan divided by 0 passes
+    untrapped. A trap, or a value not real and finite, raises ValueError, so
+    that `_sample` evaluates the scalar form point by point and any error is
+    the scalar form's own."""
     try:
         tree = ast.parse(expr, "<expr>", "eval")
     except SyntaxError as exc:
         raise UsageError(f"invalid expression {expr!r}: {exc.msg}") from exc
-    _check_expr(tree, names)
+    has_array_form = _check_expr(tree, names)
     f = _lambda(tree.body, names, {"__builtins__": {}, "math": math})
     scalar = lambda *a: float(f(*(float(x) for x in a)))
-    if not _has_array_form(tree):
+    if not has_array_form:
         return scalar
-    # The scalar form is compiled, so the tree can be rewritten in place.
-    array_f = _lambda(_ArrayForm().visit(tree.body), names,
-                      {"__builtins__": {}, "math": math, "_finite": _finite, **_UFUNCS})
+    array_f = _lambda(tree.body, names, {"__builtins__": {}, "math": _ARRAY_MATH})
 
     def func(*a):
         if not any(np.ndim(x) for x in a):
             return scalar(*a)
         try:
-            with np.errstate(all="ignore"):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return _finite(array_f(*(np.asarray(x, dtype=float) for x in a)))
         except (ArithmeticError, TypeError, ValueError) as exc:  # 1 // 0, 10**400 * t
             raise ValueError(f"{expr!r} needs point-by-point evaluation") from exc
@@ -217,6 +199,9 @@ def cmd_solve(args) -> int:
     cols = [ts, u_num]
     if problem.exact is not None:
         u_ex = _sample(problem.exact, ts)
+        bad = np.count_nonzero(~np.isfinite(u_ex))
+        if bad:
+            raise NumericalError(f"non-finite exact solution at {bad} of {len(ts)} grid points")
         cols += [u_ex, np.abs(u_num - u_ex)]
     # repr of a float is _num's form; a missing exact solution leaves two empty cells
     cells = [map(repr, c.tolist()) for c in cols] + [[""] * len(ts)] * (4 - len(cols))

@@ -144,7 +144,7 @@ def check_polynomial_recovery():
 
 
 def check_oracle_consistency(rng: np.random.Generator):
-    """Oracle matches the beta closed form and survives panel doubling."""
+    """Oracle matches the beta closed form and survives its doubling check."""
     errors = []
     for _ in range(10):
         theta = rng.uniform(0.15, 0.85)

@@ -22,13 +22,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b), computed in log space to avoid overflow."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"gamma_ratio requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) - math.lgamma(b))
-
-
 def beta(a: float, b: float) -> float:
     """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
     if not (a > 0.0 and b > 0.0):

@@ -266,7 +266,7 @@ def test_08_source_integrity():
             return u(1.0 - w_rho)
 
         a = _oracle_core(prob.theta, ws, prob.kernel, u_w, _panel_rule(24, 16))
-        b = _oracle_core(prob.theta, ws, prob.kernel, u_w, _panel_rule(48, 16))
+        b = _oracle_core(prob.theta, ws, prob.kernel, u_w, _panel_rule(24, 32))
         worst_double = max(worst_double, float(np.max(np.abs(a - b))))
     ok = worst_probe <= 1e-9 and worst_double <= 1e-11
     report("8 source integrity", ok,

@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from fbjacobi import approximation
 from fbjacobi.approximation import (
@@ -36,6 +37,19 @@ from fbjacobi.special_functions import beta
 
 def spec_of(mu, up, rho):
     return BackwardSpec(JacobiParams(mu, up), rho)
+
+
+def log_gap_weights(z):
+    """Barycentric weights from summed log gaps, normalized to unit maximum:
+    a reference that loses about a digit but cannot overflow."""
+    gaps = z[:, None] - z[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    log_w = -np.array([math.fsum(row) for row in np.log(np.abs(gaps))])
+    return np.prod(np.sign(gaps), axis=1) * np.exp(log_w - np.max(log_w))
+
+
+# (mu, upsilon) families whose plain gap products overflowed above N ~ 1096
+WEIGHT_FAMILIES = [(-0.25, -0.25), (-0.5, -0.5), (0.0, 0.0), (5.0, -2.0 / 3.0), (-0.9, 3.0)]
 
 
 class TestProject:
@@ -176,13 +190,28 @@ class TestInterpolate:
         # the product of N node gaps underflowed to 0 from N ~ 520 on
         s = spec_of(-0.5, -0.5, 0.5)
         ip = interpolate(s, 600, lambda t: np.exp(map_forward(s, t)))
-        gaps = ip.nodes_z[:, None] - ip.nodes_z[None, :]
-        np.fill_diagonal(gaps, 1.0)
-        log_w = -np.sum(np.log(np.abs(gaps)), axis=1)
-        ref = np.prod(np.sign(gaps), axis=1) * np.exp(log_w - np.max(log_w))
-        assert np.max(np.abs(ip.bary_weights - ref)) <= 1e-10
+        assert np.max(np.abs(ip.bary_weights - log_gap_weights(ip.nodes_z))) <= 1e-10
         ts = np.linspace(0.0, 0.99, 100)
         assert np.max(np.abs(eval_interpolant(ip, ts) - np.exp(map_forward(s, ts)))) <= 1e-13
+
+    @pytest.mark.parametrize("mu, up", WEIGHT_FAMILIES)
+    @pytest.mark.parametrize("n", [384, 1100, MAX_N])
+    def test_weights_past_the_product_overflow(self, n, mu, up):
+        # the product of the N gaps overflows from N ~ 1096, and a node whose
+        # weight came out 0 dropped out of the interpolant; scipy's nodes are
+        # quick at this size
+        x, _ = scipy.special.roots_jacobi(n + 1, mu, up)
+        z = (1.0 + x) / 2.0
+        w = barycentric_weights(z)
+        assert np.all(w != 0.0)
+        assert np.max(np.abs(w - log_gap_weights(z))) <= 1e-12
+
+    @pytest.mark.parametrize("mu, up", WEIGHT_FAMILIES[:3])
+    def test_degree_1200_interpolates_exp(self, mu, up):
+        s = spec_of(mu, up, 1.0)
+        ip = interpolate(s, MAX_N, np.exp)
+        ts = np.linspace(0.0, 1.0, 201)
+        assert np.max(np.abs(eval_interpolant(ip, ts) - np.exp(ts))) <= 1e-13
 
     def test_cardinal_row_one_ulp_above_last_node(self):
         # the terminal nodes crowd z = 1; only an exact hit is snapped, and

@@ -2,9 +2,11 @@ import dataclasses
 import importlib
 import inspect
 import math
+import operator
 import pathlib
 import re
 import shlex
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -55,6 +57,14 @@ class TestSolveCommand:
         ])
         assert code == 0
         assert len(out.read_text().splitlines()) == 18
+
+    def test_case2_without_out_writes_stdout(self, capsys):
+        assert run(["solve", "--problem", "case2", "--n", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t,u_num,u_exact,abs_error"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (2001, 4) and np.isfinite(rows).all()
+        assert rows[:, 3].max() < 1e-3  # 3.4e-4 at N = 8
 
     def test_custom_problem_without_exact(self, tmp_path):
         out = tmp_path / "sol.csv"
@@ -357,6 +367,15 @@ class TestExitCodes:
                                "--exact-expr", "math.exp(-1/(1-t))"],
                      3, "ZeroDivisionError: float division by zero",
                      id="exact-hidden-division-by-zero"),
+        # converge turns a non-finite exact column into an empty row; solve fails
+        pytest.param(CUSTOM + ["--kernel-expr", "1", "--source-expr", "t",
+                               "--exact-expr", "math.nan"],
+                     3, "NumericalError: non-finite exact solution at 11 of 11 grid points",
+                     id="nan-exact-solve"),
+        pytest.param(CUSTOM + ["--kernel-expr", "1", "--source-expr", "t",
+                               "--exact-expr", "math.inf*(1+t)"],
+                     3, "NumericalError: non-finite exact solution at 11 of 11 grid points",
+                     id="inf-exact-solve"),
     ])
     def test_exit_code(self, argv, code, message, tmp_path, capsys):
         assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
@@ -400,6 +419,11 @@ AGREEMENT = [
     ("math.fmod(t, p)", True), ("math.degrees(t)", True), ("math.radians(t)", True),
     ("math.exp(-1 / t)", True), ("math.atan(1 / (1 / t))", True), ("math.exp(1000 * p)", True),
     ("(-t) ** 0.5", True), ("(-8) ** 0.5 * t", True), ("0.0 ** t", True), ("math.exp(p) * (1 + t) ** 1.5", True),
+    # infinity constants: numpy raises no flag where an inf is only carried
+    # along, so the final value decides
+    ("math.inf - math.inf * t", True), ("math.cos(math.inf * t)", True),
+    ("math.exp(-math.inf * t)", True), ("1 / (math.inf * t)", True),
+    ("math.hypot(1.5e308 * t, 1.5e308)", True),
     # kept scalar: math names without a same-meaning ufunc, other argument
     # counts, and the constructs that can turn a NaN into a finite value
     ("math.log(t, 2)", False), ("math.log(t, p)", False), ("math.floor(t)", False),
@@ -455,9 +479,46 @@ class TestExpressionArrayForm:
     def test_array_form_namespace(self):
         f = _expr_function("math.exp(t)", ("t",))
         array_f = inspect.getclosurevars(f).nonlocals["array_f"]
-        assert set(array_f.__globals__) == {"__builtins__", "math", "_finite", *cli._UFUNCS}
+        assert set(array_f.__globals__) == {"__builtins__", "math"}
         assert array_f.__globals__["__builtins__"] == {}
-        assert all(isinstance(u, np.ufunc) for u in cli._UFUNCS.values())
+        array_math = vars(array_f.__globals__["math"])
+        assert set(array_math) == {n for n in dir(math) if not n.startswith("_")}
+        for name, value in array_math.items():
+            if name in cli._UFUNCS:
+                assert isinstance(value, np.ufunc) and value is cli._UFUNCS[name]
+            else:
+                assert value is getattr(math, name)
+            assert not isinstance(value, types.ModuleType)
+
+
+# Inputs at the edges of the float range, and each operation of the array
+# form: the _UFUNCS and the binary operators of the grammar.
+TRAP_INPUTS = np.array([-np.inf, -1.5e308, -1000.0, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0,
+                        1000.0, 1.5e308, np.inf])
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+             "//": operator.floordiv, "%": operator.mod, "**": operator.pow}
+# operations that take finite values to finite ones and never make a NaN
+CLOSED = {"atan", "atan2", "fabs", "copysign", "radians"}
+
+
+@pytest.mark.parametrize("name", [*cli._UFUNCS, *OPERATORS])
+def test_array_form_traps_each_step_that_leaves_the_finite_range(name):
+    # Under the array form's errstate, numpy must raise wherever a value
+    # leaves the finite range; a build that does not trap would let a later
+    # step hide the intermediate (exp(-1/0) is 0)
+    op = cli._UFUNCS.get(name) or OPERATORS[name]
+    nin = getattr(op, "nin", 2)
+    args = [a.ravel() for a in np.meshgrid(*[TRAP_INPUTS] * nin, indexing="ij")]
+    with np.errstate(all="ignore"):
+        out = op(*args)
+    finite_in = np.logical_and.reduce([np.isfinite(a) for a in args])
+    leaves = (finite_in & ~np.isfinite(out)) | np.isnan(out)  # no input is NaN
+    assert leaves.any() != (name in CLOSED)
+    for i in np.flatnonzero(leaves):
+        point = [np.array([a[i]]) for a in args]
+        with pytest.raises(FloatingPointError):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                op(*point)
 
 
 def _counting(f, log, name):

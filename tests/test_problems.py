@@ -61,8 +61,22 @@ class TestOracleKr:
             for u in fns:
                 for t in (0.0, 0.5, 0.9):
                     a = layout_value(u, theta, UNIT_K, t, 24, 16)
-                    b = layout_value(u, theta, UNIT_K, t, 48, 16)
+                    b = layout_value(u, theta, UNIT_K, t, 24, 32)
                     assert abs(a - b) <= 1e-11
+
+    @pytest.mark.parametrize("gamma, raises", [(1.5, False), (0.5, False), (-0.3, False),
+                                               (-0.5, True), (-0.9, True), (-0.97, True)])
+    def test_check_refines_the_terminal_panels(self, gamma, raises):
+        # (1-p)^gamma is singular at s = 1, where the grading stops at
+        # 1 - s = 1e-12; the last panel cannot resolve gamma <= -0.5 (3.1e-2
+        # off at -0.9), and only more points per panel show it
+        u = lambda p: (1.0 - p) ** gamma
+        if raises:
+            with pytest.raises(NumericalError, match="oracle unstable"):
+                oracle_kr(u, 0.5, UNIT_K, 0.25)
+        else:
+            ref = beta(0.5, gamma + 1.0) * 0.75 ** (0.5 + gamma)
+            assert abs(oracle_kr(u, 0.5, UNIT_K, 0.25) - ref) <= 1e-10 * ref
 
     def test_nan_fails_doubling_check(self):
         u = lambda p: math.nan if 0.3 < p < 0.31 else 1.0
@@ -170,7 +184,7 @@ class TestCaseII:
 
         for t in (0.1, 0.6):
             a = layout_value(u, 0.5, UNIT_K, t, 24, 16)
-            b = layout_value(u, 0.5, UNIT_K, t, 48, 16)
+            b = layout_value(u, 0.5, UNIT_K, t, 24, 32)
             assert abs(a - b) <= 1e-11
 
     def test_config_independence(self):

@@ -7,7 +7,6 @@ import pytest
 from fbjacobi.special_functions import (
     bessel_j,
     beta,
-    gamma_ratio,
     log_gamma,
     mittag_leffler,
 )
@@ -37,30 +36,6 @@ class TestLogGamma:
         for x in (1e-3, 0.37, 1.0, 2.0, 7.3, 41.0, 123.4, 200.0):
             ref = float(mpmath.loggamma(x))
             assert abs(log_gamma(x) - ref) <= 1e-13 * max(abs(ref), 1.0)
-
-
-class TestGammaRatio:
-    def test_integer_values(self):
-        assert abs(gamma_ratio(5.0, 4.0) - 4.0) < 1e-12
-        assert gamma_ratio(1.0, 1.0) == 1.0
-
-    def test_derivative_factor_value(self):
-        # r=3, k=2, mu=upsilon=0: the factor is (r+1)(r+2) = 20
-        r, k = 3, 2
-        val = gamma_ratio(r + k + 1.0, r + 1.0)
-        assert abs(val - 20.0) < 1e-12 * 20.0
-
-    def test_large_arguments_no_overflow(self):
-        # both gamma values alone exceed double range; the ratio is modest
-        val = gamma_ratio(180.5, 176.25)
-        ref = float(mpmath.gamma("180.5") / mpmath.gamma("176.25"))
-        assert abs(val - ref) <= 1e-12 * ref
-
-    def test_domain(self):
-        with pytest.raises(ValueError, match="gamma_ratio requires positive arguments"):
-            gamma_ratio(-1.0, 2.0)
-        with pytest.raises(ValueError, match="gamma_ratio requires positive arguments"):
-            gamma_ratio(2.0, 0.0)
 
 
 class TestBeta:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fbjacobi import approximation, volterra_solver
-from fbjacobi.approximation import MAX_N, cardinal_matrix
+from fbjacobi.approximation import MAX_N, cardinal_matrix, linf_error
 from fbjacobi.backward_basis import BackwardSpec, fb_nodes
 from fbjacobi.jacobi_core import JacobiParams, NumericalError, gauss_rule
 from fbjacobi.problems import case_i, oracle_kr
@@ -379,8 +379,6 @@ class TestSolve:
         prob = example1(0.5)
         spec = spec_of(-0.25, -0.25, 0.5)
         sol = solve(prob, spec, 20)
-        from fbjacobi.approximation import linf_error
-
         assert linf_error(prob.exact, sol.interpolant, 2001, rho=0.5) <= 1e-6
 
     def test_vanishing_singularity_limit(self):
@@ -435,6 +433,13 @@ class TestSolve:
         monkeypatch.setattr(approximation, "gauss_rule", no_rule)
         with pytest.raises(ValueError, match="exceeds MAX_N = 1200"):
             solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), MAX_N + 1)
+
+    def test_case1_at_degree_1100(self):
+        # 25 barycentric weights came out 0 here, and linf was 3.6e-5 with cond 79
+        prob = case_i(0.5, math.sqrt(2.0), math.sqrt(3.0))
+        sol = solve(prob, spec_of(-0.25, -0.25, 0.5), 1100)
+        assert np.all(sol.interpolant.bary_weights != 0.0)
+        assert linf_error(prob.exact, sol.interpolant, 2001, rho=0.5) <= 1e-12
 
     def test_condition_matches_inverse_norms(self):
         prob = case_i(0.5, math.sqrt(2.0), math.sqrt(3.0))
