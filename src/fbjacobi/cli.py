@@ -90,7 +90,8 @@ def _check_expr(node, names) -> bool:
     the given names, public math attributes and positional calls to them,
     int/float constants, arithmetic, comparisons, and/or/not and if-else.
     Return whether it has an array form: each math call has a ufunc in
-    `_UFUNCS` that takes as many arguments, and nothing is `_SCALAR_ONLY`."""
+    `_UFUNCS` that takes as many arguments, nothing is `_SCALAR_ONLY`, and no
+    dividend of /, // or % holds an `_untrapped_inf`."""
     if isinstance(node, ast.Attribute):  # math.<public name>, checked whole
         ok = (isinstance(node.value, ast.Name) and node.value.id == "math"
               and not node.attr.startswith("_") and hasattr(math, node.attr))
@@ -111,7 +112,20 @@ def _check_expr(node, names) -> bool:
     array = not isinstance(node, _SCALAR_ONLY)
     if isinstance(node, ast.Call):
         array = getattr(_UFUNCS.get(node.func.attr), "nin", None) == len(node.args)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
+        # numpy sets no flag for an inf or NaN over 0, where Python raises
+        array = not any(_untrapped_inf(n, names) for n in ast.walk(node.left))
     return all([array] + [_check_expr(child, names) for child in ast.iter_child_nodes(node)])
+
+
+def _untrapped_inf(node, names) -> bool:
+    """Whether `node` may be an inf or NaN that no numpy trap saw: math.inf,
+    math.nan, a literal such as 1e309, or Python arithmetic on constants
+    alone (1e308 * 10)."""
+    if isinstance(node, ast.BinOp):
+        return not any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+    return ((isinstance(node, ast.Constant) and node.value == math.inf)  # 1e309
+            or (isinstance(node, ast.Attribute) and node.attr in ("inf", "nan")))
 
 
 def _finite(x):
@@ -135,10 +149,9 @@ def _expr_function(expr: str, names):
     for scalar arguments; raises UsageError if it does not parse or leaves the
     grammar. If it has an array form, array arguments run the same tree against
     `_ARRAY_MATH`, where numpy traps each step at which Python raises on
-    finite values (1/0, log(0), exp(1000)); an inf or nan divided by 0 passes
-    untrapped. A trap, or a value not real and finite, raises ValueError, so
-    that `_sample` evaluates the scalar form point by point and any error is
-    the scalar form's own."""
+    finite values (1/0, log(0), exp(1000)). A trap, or a value not real and
+    finite, raises ValueError, so that `_sample` evaluates the scalar form
+    point by point and any error is the scalar form's own."""
     try:
         tree = ast.parse(expr, "<expr>", "eval")
     except SyntaxError as exc:

@@ -323,6 +323,9 @@ CUSTOM = ["solve", "--problem", "custom", "--n", "8", "--eval-points", "11",
           "--out", "{tmp}/sol.csv"]
 ESCAPE = "[c for c in ().__class__.__base__.__subclasses__()][0].__name__ and 1.0"
 NAN_KERNEL = "math.nan if 0.9<p<0.95 else 1.0"
+# an inf or NaN divided by an exact zero and then hidden
+UNTRAPPED = ["1 / (math.inf / (t - t))", "math.exp(-1e308 * 10 * t / (t - t))",
+             "(math.nan / (t - t)) ** 0"]
 
 
 class TestExitCodes:
@@ -376,6 +379,10 @@ class TestExitCodes:
                                "--exact-expr", "math.inf*(1+t)"],
                      3, "NumericalError: non-finite exact solution at 11 of 11 grid points",
                      id="inf-exact-solve"),
+        # an inf or NaN over 0 sets no numpy flag; Python raises
+        *[pytest.param(CUSTOM + ["--kernel-expr", "1", "--source-expr", expr], 3,
+                       "NumericalError: source evaluation failed at node 0", id=f"untrapped-{i}")
+          for i, expr in enumerate(UNTRAPPED)],
     ])
     def test_exit_code(self, argv, code, message, tmp_path, capsys):
         assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
@@ -424,6 +431,10 @@ AGREEMENT = [
     ("math.inf - math.inf * t", True), ("math.cos(math.inf * t)", True),
     ("math.exp(-math.inf * t)", True), ("1 / (math.inf * t)", True),
     ("math.hypot(1.5e308 * t, 1.5e308)", True),
+    # kept scalar: a dividend that may be an inf or NaN without a flag,
+    # including any arithmetic on constants alone
+    *[(e, False) for e in UNTRAPPED], ("1e309 % (t - t) + 1", False),
+    ("2 * 3 / (1 + t)", False), ("math.pi / (1 + t) + t / math.inf", True),
     # kept scalar: math names without a same-meaning ufunc, other argument
     # counts, and the constructs that can turn a NaN into a finite value
     ("math.log(t, 2)", False), ("math.log(t, p)", False), ("math.floor(t)", False),

@@ -61,8 +61,11 @@ class TestOracleKr:
             for u in fns:
                 for t in (0.0, 0.5, 0.9):
                     a = layout_value(u, theta, UNIT_K, t, 24, 16)
-                    b = layout_value(u, theta, UNIT_K, t, 24, 32)
-                    assert abs(a - b) <= 1e-11
+                    # twice the points refine the s -> 1 panels, twice the
+                    # panels reach deeper toward s -> 0
+                    for panels, points in ((24, 32), (48, 16)):
+                        b = layout_value(u, theta, UNIT_K, t, panels, points)
+                        assert abs(a - b) <= 1e-11
 
     @pytest.mark.parametrize("gamma, raises", [(1.5, False), (0.5, False), (-0.3, False),
                                                (-0.5, True), (-0.9, True), (-0.97, True)])
