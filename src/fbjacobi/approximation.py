@@ -16,6 +16,9 @@ from .jacobi_core import JacobiParams, gauss_rule, jacobi_norm, jacobi_table
 # Largest N a node set is built for: the solve is O(N^3), and the Gauss rules
 # and solves are tested up to here.
 MAX_N = 1200
+# Largest M x (N+1) cardinal matrix the CLI builds to evaluate a degree-N
+# solution at M grid points: 2**26 float64 entries are 512 MiB.
+MAX_CARDINAL_ENTRIES = 2**26
 # Node-gap columns per block of the barycentric product.
 _GAP_BLOCK = 256
 

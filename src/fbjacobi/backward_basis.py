@@ -31,9 +31,14 @@ class BackwardSpec:
 
 
 def map_forward(spec: BackwardSpec, t):
-    """z(t) = 1 - (1-t)^rho; monotone on [0,1], fixing both endpoints."""
+    """z(t) = 1 - (1-t)^rho; monotone on [0,1], fixing both endpoints.
+    Raises ValueError for t outside [0,1]; NaN passes through."""
+    t = np.asarray(t, dtype=float)
+    outside = (t < 0.0) | (t > 1.0)
+    if outside.any():
+        raise ValueError(f"t must lie in [0, 1], got {float(t[outside][0])}")
     with np.errstate(divide="ignore"):
-        return -np.expm1(spec.rho * np.log1p(-np.asarray(t, dtype=float)))
+        return -np.expm1(spec.rho * np.log1p(-t))
 
 
 def map_inverse(spec: BackwardSpec, z):

@@ -13,10 +13,12 @@ import ast
 import math
 import sys
 import types
+import warnings
 
 import numpy as np
 
-from .approximation import MAX_N, _sample, eval_grid, linf_error, weighted_l2_error
+from .approximation import (MAX_CARDINAL_ENTRIES, MAX_N, _sample, eval_grid, linf_error,
+                            weighted_l2_error)
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams, NumericalError
 from .problems import case_i, case_ii, example1, regularity_index
@@ -54,12 +56,6 @@ class UsageError(Exception):
     """Bad command-line input, found before any numerical work."""
 
 
-def _num(x) -> str:
-    """Shortest round-trip decimal representation (at most 17 significant
-    digits); empty string for missing values."""
-    return "" if x is None else repr(float(x))
-
-
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -68,16 +64,12 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
-def _convergence_csv(rows, timings: bool) -> str:
-    """CSV of (N, linf_error, l2w_error, cond, assembly_ms, solve_ms) rows;
-    None fields (a failed degree) are empty, and so are the ms columns
-    unless `timings`."""
-    lines = ["N,linf_error,l2w_error,cond,assembly_ms,solve_ms"]
-    for n, linf, l2w, cond, a_ms, s_ms in rows:
-        if not timings:
-            a_ms, s_ms = None, None
-        lines.append(f"{n},{_num(linf)},{_num(l2w)},{_num(cond)},{_num(a_ms)},{_num(s_ms)}")
-    return "\n".join(lines) + "\n"
+def _csv(header: str, columns) -> str:
+    """CSV text of `header` and the rows of `columns`, equal-length lists of
+    Python ints and floats. A cell is the value's repr, the shortest
+    round-trip decimal form; None is an empty cell."""
+    cells = [["" if x is None else repr(x) for x in col] for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def _require(ok: bool, message: str) -> None:
@@ -175,9 +167,9 @@ def _expr_function(expr: str, names):
     return func
 
 
-def _setup(args):
+def _setup(args, n_max: int):
     """Check the shared flags and expressions (UsageError), then build the
-    problem: (problem, spec)."""
+    problem: (problem, spec). `n_max` is the largest degree to be solved."""
     _require(0.0 < args.theta < 1.0,
              f"--theta must lie in the open interval (0,1), got {args.theta}")
     _require(0.0 < args.rho <= 1.0, f"--rho must lie in (0,1], got {args.rho}")
@@ -187,6 +179,9 @@ def _setup(args):
     _require(not builtin_gammas or (args.gamma1 > 0.0 and args.gamma2 > 0.0),
              f"--gamma1/--gamma2 must be positive, got ({args.gamma1}, {args.gamma2})")
     _require(args.eval_points >= 2, f"--eval-points must be >= 2, got {args.eval_points}")
+    _require(args.eval_points * (n_max + 1) <= MAX_CARDINAL_ENTRIES,
+             f"--eval-points {args.eval_points} at N={n_max} exceeds {MAX_CARDINAL_ENTRIES} "
+             f"entries of the {args.eval_points}x{n_max + 1} evaluation matrix")
     spec = BackwardSpec(JacobiParams(args.mu, args.upsilon), args.rho)
     if args.problem == "example1":
         return example1(args.theta), spec
@@ -203,23 +198,32 @@ def _setup(args):
     return problem, spec
 
 
+def _solve(problem, spec, n: int):
+    """`solve`, with its nearly-singular RuntimeWarning turned into a `warning:` line."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "collocation system is nearly singular", RuntimeWarning)
+        sol = solve(problem, spec, n)
+    if sol.diagnostics.near_singular:
+        print(f"warning: N={n}: collocation system is nearly singular "
+              f"(cond ~ {sol.diagnostics.condition:.3e})", file=sys.stderr)
+    return sol
+
+
 def cmd_solve(args) -> int:
     _require(0 <= args.n <= MAX_N, f"--n must lie in [0, {MAX_N}], got {args.n}")
-    problem, spec = _setup(args)
-    sol = solve(problem, spec, args.n)
+    problem, spec = _setup(args, args.n)
+    sol = _solve(problem, spec, args.n)
     ts = eval_grid(args.rho, args.eval_points)
     u_num = sol.interpolant(ts)
-    cols = [ts, u_num]
+    exact_cols = [[None] * len(ts)] * 2  # empty cells without an exact solution
     if problem.exact is not None:
         u_ex = _sample(problem.exact, ts)
         bad = np.count_nonzero(~np.isfinite(u_ex))
         if bad:
             raise NumericalError(f"non-finite exact solution at {bad} of {len(ts)} grid points")
-        cols += [u_ex, np.abs(u_num - u_ex)]
-    # repr of a float is _num's form; a missing exact solution leaves two empty cells
-    cells = [map(repr, c.tolist()) for c in cols] + [[""] * len(ts)] * (4 - len(cols))
-    lines = ["t,u_num,u_exact,abs_error", *map(",".join, zip(*cells))]
-    _write_text(args.out, "\n".join(lines) + "\n")
+        exact_cols = [u_ex.tolist(), np.abs(u_num - u_ex).tolist()]
+    _write_text(args.out, _csv("t,u_num,u_exact,abs_error",
+                               [ts.tolist(), u_num.tolist(), *exact_cols]))
     return EXIT_OK
 
 
@@ -227,56 +231,50 @@ def cmd_converge(args) -> int:
     _require(0 <= args.n_min <= args.n_max <= MAX_N,
              f"need 0 <= --n-min <= --n-max <= {MAX_N}, got {args.n_min} and {args.n_max}")
     _require(args.n_step >= 1, f"--n-step must be >= 1, got {args.n_step}")
+    l2_mu, l2_up = args.mu, args.upsilon
     if args.l2_weight is not None:
         try:
             l2_mu, l2_up = (float(p) for p in args.l2_weight.split(","))
         except ValueError:
-            raise UsageError(
-                f"--l2-weight expects 'mu,upsilon', got {args.l2_weight!r}"
-            ) from None
-    else:
-        l2_mu, l2_up = args.mu, args.upsilon
+            raise UsageError(f"--l2-weight expects 'mu,upsilon', got {args.l2_weight!r}") from None
     _require(l2_mu > -1.0 and l2_up > -1.0,
              f"--l2-weight exponents must be > -1, got ({l2_mu}, {l2_up})")
     _require(args.problem != "custom" or args.exact_expr is not None,
              "converge needs a problem with a known exact solution")
-    problem, spec = _setup(args)
+    problem, spec = _setup(args, args.n_max)
     l2_spec = BackwardSpec(JacobiParams(l2_mu, l2_up), args.rho)
     if args.problem in ("case1", "case2"):
         gamma = regularity_index(args.gamma1, args.gamma2)
         index = 2.0 * gamma / args.rho + args.upsilon + 1.0
-        print(
-            f"info: singular exponent {gamma:g}; transformed regularity index "
-            f"2*gamma/rho+upsilon+1 = {index:g} (expected algebraic rate driver)",
-            file=sys.stderr,
-        )
+        print(f"info: singular exponent {gamma:g}; transformed regularity index "
+              f"2*gamma/rho+upsilon+1 = {index:g} (expected algebraic rate driver)",
+              file=sys.stderr)
 
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))
-    rows = []
-    for n in ns:
+    # None (an empty cell) for a failed degree, and for the ms unless --timings
+    linf, l2w, cond, assembly_ms, solve_ms = columns = [[None] * len(ns) for _ in range(5)]
+    for i, n in enumerate(ns):
         try:
-            sol = solve(problem, spec, n)
-            linf = linf_error(problem.exact, sol.interpolant, args.eval_points, rho=args.rho)
-            l2w = weighted_l2_error(
-                l2_spec, problem.exact, sol.interpolant, max(4 * (n + 1), 128)
-            )
-            if not (math.isfinite(linf) and math.isfinite(l2w)):
-                raise ValueError(f"non-finite error norms (linf {linf}, l2w {l2w})")
-            diag = sol.diagnostics
-            rows.append(
-                (n, linf, l2w, diag.condition,
-                 diag.assembly_seconds * 1e3, diag.solve_seconds * 1e3)
-            )
+            sol = _solve(problem, spec, n)
+            e_inf = linf_error(problem.exact, sol.interpolant, args.eval_points, rho=args.rho)
+            e_l2w = weighted_l2_error(l2_spec, problem.exact, sol.interpolant,
+                                      max(4 * (n + 1), 128))
+            if not (math.isfinite(e_inf) and math.isfinite(e_l2w)):
+                raise ValueError(f"non-finite error norms (linf {e_inf}, l2w {e_l2w})")
         except Exception as exc:
             print(f"warning: N={n} failed: {exc}", file=sys.stderr)
-            rows.append((n, None, None, None, None, None))
-    _write_text(args.out, _convergence_csv(rows, args.timings))
+            continue
+        diag = sol.diagnostics
+        linf[i], l2w[i], cond[i] = e_inf, e_l2w, diag.condition
+        if args.timings:
+            assembly_ms[i], solve_ms[i] = diag.assembly_seconds * 1e3, diag.solve_seconds * 1e3
+    _write_text(args.out, _csv("N,linf_error,l2w_error,cond,assembly_ms,solve_ms",
+                               [ns, *columns]))
     if args.svg is not None:
-        series = [("linf", [r[1] for r in rows]), ("l2w", [r[2] for r in rows])]
         title = (f"{args.problem}: theta={args.theta:g}, rho={args.rho:g}, "
                  f"mu={args.mu:g}, upsilon={args.upsilon:g}")
         try:
-            _write_text(args.svg, render_semilog(ns, series, title))
+            _write_text(args.svg, render_semilog(ns, [("linf", linf), ("l2w", l2w)], title))
         except ValueError as exc:
             print(f"warning: no SVG written: {exc}", file=sys.stderr)
     return EXIT_OK

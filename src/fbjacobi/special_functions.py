@@ -1,8 +1,9 @@
 """Special functions shared by every other module.
 
-All gamma-type quantities are routed through ``log_gamma`` so that ratios of
-large gamma values never overflow; series are truncated by a relative-term
-criterion so accuracy is uniform over the admissible parameter ranges.
+Gamma ratios are taken in log space (``math.lgamma``, or ``log_gamma`` where
+the argument is checked first), so ratios of large gamma values never
+overflow; series are truncated by a relative-term criterion so accuracy is
+uniform over the admissible parameter ranges.
 """
 
 import math

@@ -17,6 +17,19 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _text(x, y, body, size: int, anchor="middle", extra="") -> str:
+    """One sans-serif <text> element; `anchor` None leaves out text-anchor,
+    and `extra` holds further attributes."""
+    anchor = "" if anchor is None else f' text-anchor="{anchor}"'
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{escape(str(body))}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"/>')
+
+
 def render_semilog(ns, series, title: str = "") -> str:
     """SVG text for error-vs-degree curves with a log10 vertical axis.
 
@@ -57,39 +70,19 @@ def render_semilog(ns, series, title: str = "") -> str:
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
-        )
+        parts.append(_text(_WIDTH // 2, 24, title, 14))
+    bottom = _TOP + plot_h
     for k in range(lo, hi + 1):
         y = sy(10.0**k)
-        parts.append(
-            f'<line x1="{_LEFT}" y1="{_fmt(y)}" x2="{_LEFT + plot_w}" '
-            f'y2="{_fmt(y)}" stroke="#cccccc" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{k}</text>'
-        )
+        parts.append(_line(_LEFT, _fmt(y), _LEFT + plot_w, _fmt(y), "#cccccc", 0.5))
+        parts.append(_text(_LEFT - 8, _fmt(y + 4), f"1e{k}", 11, anchor="end"))
     for n in ns:
-        x = sx(n)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_TOP + plot_h}" x2="{_fmt(x)}" '
-            f'y2="{_TOP + plot_h + 5}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_TOP + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{n}</text>'
-        )
-    parts.append(
-        f'<text x="{_LEFT + plot_w // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="12">N</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_TOP + plot_h // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {_TOP + plot_h // 2})">error</text>'
-    )
+        x = _fmt(sx(n))
+        parts.append(_line(x, bottom, x, bottom + 5, "black", 1))
+        parts.append(_text(x, bottom + 20, n, 11))
+    y_mid = _TOP + plot_h // 2
+    parts.append(_text(_LEFT + plot_w // 2, _HEIGHT - 12, "N", 12))
+    parts.append(_text(18, y_mid, "error", 12, extra=f' transform="rotate(-90 18 {y_mid})"'))
     for idx, (label, values) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
         pts = [
@@ -108,14 +101,8 @@ def render_semilog(ns, series, title: str = "") -> str:
                     f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>'
                 )
         ly = _TOP + 16 + 16 * idx
-        parts.append(
-            f'<line x1="{_LEFT + plot_w - 120}" y1="{ly - 4}" '
-            f'x2="{_LEFT + plot_w - 96}" y2="{ly - 4}" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_LEFT + plot_w - 90}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
-        )
+        parts.append(_line(_LEFT + plot_w - 120, ly - 4, _LEFT + plot_w - 96, ly - 4,
+                           color, 1.5))
+        parts.append(_text(_LEFT + plot_w - 90, ly, label, 11, anchor=None))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,14 +7,15 @@ import pathlib
 import re
 import shlex
 import types
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from fbjacobi import cli, selfcheck
+from fbjacobi import approximation, cli, selfcheck
 from fbjacobi.approximation import _sample
-from fbjacobi.cli import _convergence_csv, _expr_function, main
+from fbjacobi.cli import _csv, _expr_function, main
 from fbjacobi.selfcheck import run_all
 from fbjacobi.svgplot import render_semilog
 
@@ -214,6 +215,58 @@ class TestConvergeCommand:
         ])
         assert code == 2
 
+    def test_nearly_singular_rows_are_kept_with_a_warning_line(self, tmp_path, capsys):
+        # cond ~ 6.5e13 and 1.7e16; the library's RuntimeWarning, an error
+        # under this suite's warning filter, becomes one line per degree
+        out = tmp_path / "s.csv"
+        code = run([
+            "converge", "--problem", "example1", "--theta", "0.7", "--rho", "0.3",
+            "--n-min", "40", "--n-max", "48", "--n-step", "8", "--out", str(out),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" (cond ~ ")[0] for line in err] == [
+            f"warning: N={n}: collocation system is nearly singular" for n in (40, 48)]
+        assert not any(".py:" in line for line in err)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["40", "48"]
+        assert all(float(x) > 0.0 for row in rows for x in row[1:4])
+
+    def test_solve_warns_nearly_singular_and_passes_other_warnings(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        def noisy_solve(*args):
+            warnings.warn("another warning", RuntimeWarning)
+            return solve(*args)
+
+        solve = cli.solve
+        monkeypatch.setattr(cli, "solve", noisy_solve)
+        with pytest.warns(RuntimeWarning, match="^another warning$"):
+            code = run(["solve", "--problem", "example1", "--theta", "0.7", "--rho", "0.3",
+                        "--n", "48", "--eval-points", "11", "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert capsys.readouterr().err.startswith(
+            "warning: N=48: collocation system is nearly singular (cond ~ ")
+
+    def test_eval_points_budget_is_checked_before_setup(self, monkeypatch, capsys):
+        # M x (N+1) cardinal entries above the budget are refused before any
+        # grid is built; at the budget the grid is requested
+        def no_grid(*args):
+            raise AssertionError("eval_grid called")
+
+        monkeypatch.setattr(cli, "eval_grid", no_grid)
+        monkeypatch.setattr(approximation, "eval_grid", no_grid)
+        budget = approximation.MAX_CARDINAL_ENTRIES
+        assert budget == 2**26
+        assert run(["solve", "--n", "20", "--eval-points", "100000000"]) == 2
+        assert "--eval-points 100000000 at N=20 exceeds" in capsys.readouterr().err
+        assert run(["converge", "--n-min", "4", "--n-max", "63",
+                    "--eval-points", str(budget // 64 + 1)]) == 2
+        assert "at N=63 exceeds" in capsys.readouterr().err
+        assert run(["solve", "--n", "0", "--eval-points", str(budget + 1)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+        assert run(["solve", "--n", "0", "--eval-points", str(budget)]) == 3
+        assert "AssertionError: eval_grid called" in capsys.readouterr().err
+
 
 class TestSelftestCommand:
     def test_quick_run_passes(self, capsys):
@@ -311,11 +364,12 @@ class TestSelftestVerdicts:
 
 class TestConvergenceCsv:
     def test_csv_header_and_failed_rows(self):
-        rows = [(4, 0.5, 0.25, 10.0, 1.5, 0.5), (8, None, None, None, None, None)]
-        assert _convergence_csv(rows, timings=False).splitlines() == [
+        header = "N,linf_error,l2w_error,cond,assembly_ms,solve_ms"
+        columns = [[4, 8], [0.5, None], [0.25, None], [10.0, None]]
+        assert _csv(header, columns + [[None, None]] * 2).splitlines() == [
             "N,linf_error,l2w_error,cond,assembly_ms,solve_ms", "4,0.5,0.25,10.0,,", "8,,,,,",
         ]
-        timed = _convergence_csv(rows, timings=True).splitlines()
+        timed = _csv(header, columns + [[1.5, None], [0.5, None]]).splitlines()
         assert timed[1] == "4,0.5,0.25,10.0,1.5,0.5"
 
 

@@ -243,6 +243,28 @@ class TestGaussRule:
         with pytest.raises(NumericalError, match="eigen-decomposition failed"):
             gauss_rule(JacobiParams(0, 0), 3)
 
+    @pytest.mark.parametrize("nodes", [[-0.1, 0.5, 0.9], [0.2, 0.2, 0.9], [0.1, 0.5, 1.0]],
+                             ids=["below-0", "not-increasing", "at-1"])
+    def test_nodes_outside_or_unordered_are_numerical_error(self, monkeypatch, nodes):
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array(nodes), np.eye(3)))
+        with pytest.raises(NumericalError, match="nodes not strictly inside"):
+            gauss_rule(JacobiParams(0, 0), 3)
+
+    @pytest.mark.parametrize("perturb, message", [
+        (lambda vectors: vectors * [1.0, 0.0, 1.0], "nonpositive weight"),
+        (lambda vectors: vectors * (1.0 + 1e-9), "weight mass off"),
+    ], ids=["zero-weight", "mass-off"])
+    def test_bad_weights_are_numerical_error(self, monkeypatch, perturb, message):
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            nodes, vectors = eigh(a)
+            return nodes, perturb(vectors)
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(NumericalError, match=message):
+            gauss_rule(JacobiParams(0, 0), 3)
+
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             gauss_rule(JacobiParams(0, 0), 0)

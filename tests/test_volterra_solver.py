@@ -358,6 +358,12 @@ class TestSolve:
         got = np.array([sol(float(t)) for t in sol.nodes_t])
         assert np.array_equal(got, sol.values)
 
+    @pytest.mark.parametrize("t", [-0.5, 1.5, [0.25, 1.5]], ids=str)
+    def test_evaluation_outside_unit_interval_raises(self, t):
+        sol = solve(case_i(0.5, math.sqrt(2.0), 2.0), spec_of(-0.25, -0.25, 0.5), 8)
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\], got (-0\.5|1\.5)$"):
+            sol(t)
+
     def test_discrete_residual(self):
         prob = case_i(0.5, math.sqrt(2.0), math.sqrt(3.0))
         spec = spec_of(-0.5, -0.5, 0.5)
