@@ -2,15 +2,16 @@
 convergence report (CSV, optional SVG), or run the invariant selftest.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage error, 3 numerical
-failure. A usage error is anything found before numerical work starts (flags,
-custom expressions) or an unwritable output path; any other failure is
-numerical. Only `main` maps exceptions to exit codes. CSV numbers use the
-shortest round-trip decimal form, so identical flags give byte-identical files.
+failure. A usage error is anything found before numerical work starts: flags,
+unwritable output paths, custom expressions; any other failure is numerical.
+Only `main` maps exceptions to exit codes. CSV numbers use the shortest
+round-trip decimal form, so identical flags give byte-identical files.
 """
 
 import argparse
 import ast
 import math
+import os
 import sys
 import types
 import warnings
@@ -62,6 +63,22 @@ def _write_text(path, text: str) -> None:
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def _check_writable(paths) -> None:
+    """Open each output path (None: no file) for writing, so that an
+    unwritable one raises OSError before numerical work. An existing file is
+    opened for appending and left as it was; a new one is removed again."""
+    for path in paths:
+        if path is None:
+            continue
+        try:
+            with open(path, "x"):
+                pass
+            os.remove(path)
+        except FileExistsError:
+            with open(path, "a"):
+                pass
 
 
 def _csv(header: str, columns) -> str:
@@ -167,21 +184,23 @@ def _expr_function(expr: str, names):
     return func
 
 
-def _setup(args, n_max: int):
-    """Check the shared flags and expressions (UsageError), then build the
-    problem: (problem, spec). `n_max` is the largest degree to be solved."""
+def _setup(args, n_max: int, outputs):
+    """Check the shared flags, the `outputs` paths and the expressions
+    (UsageError, OSError), then build the problem: (problem, spec). `n_max` is
+    the largest degree to be solved."""
     _require(0.0 < args.theta < 1.0,
              f"--theta must lie in the open interval (0,1), got {args.theta}")
     _require(0.0 < args.rho <= 1.0, f"--rho must lie in (0,1], got {args.rho}")
-    _require(args.mu > -1.0 and args.upsilon > -1.0,
-             f"--mu and --upsilon must be > -1, got ({args.mu}, {args.upsilon})")
+    _require(-1.0 < args.mu < math.inf and -1.0 < args.upsilon < math.inf,
+             f"--mu and --upsilon must be finite and > -1, got ({args.mu}, {args.upsilon})")
     builtin_gammas = args.problem in ("case1", "case2")
-    _require(not builtin_gammas or (args.gamma1 > 0.0 and args.gamma2 > 0.0),
-             f"--gamma1/--gamma2 must be positive, got ({args.gamma1}, {args.gamma2})")
+    _require(not builtin_gammas or (0.0 < args.gamma1 < math.inf and 0.0 < args.gamma2 < math.inf),
+             f"--gamma1/--gamma2 must be positive and finite, got ({args.gamma1}, {args.gamma2})")
     _require(args.eval_points >= 2, f"--eval-points must be >= 2, got {args.eval_points}")
     _require(args.eval_points * (n_max + 1) <= MAX_CARDINAL_ENTRIES,
              f"--eval-points {args.eval_points} at N={n_max} exceeds {MAX_CARDINAL_ENTRIES} "
              f"entries of the {args.eval_points}x{n_max + 1} evaluation matrix")
+    _check_writable(outputs)
     spec = BackwardSpec(JacobiParams(args.mu, args.upsilon), args.rho)
     if args.problem == "example1":
         return example1(args.theta), spec
@@ -211,7 +230,7 @@ def _solve(problem, spec, n: int):
 
 def cmd_solve(args) -> int:
     _require(0 <= args.n <= MAX_N, f"--n must lie in [0, {MAX_N}], got {args.n}")
-    problem, spec = _setup(args, args.n)
+    problem, spec = _setup(args, args.n, [args.out])
     sol = _solve(problem, spec, args.n)
     ts = eval_grid(args.rho, args.eval_points)
     u_num = sol.interpolant(ts)
@@ -237,11 +256,11 @@ def cmd_converge(args) -> int:
             l2_mu, l2_up = (float(p) for p in args.l2_weight.split(","))
         except ValueError:
             raise UsageError(f"--l2-weight expects 'mu,upsilon', got {args.l2_weight!r}") from None
-    _require(l2_mu > -1.0 and l2_up > -1.0,
-             f"--l2-weight exponents must be > -1, got ({l2_mu}, {l2_up})")
+        _require(-1.0 < l2_mu < math.inf and -1.0 < l2_up < math.inf,
+                 f"--l2-weight exponents must be finite and > -1, got ({l2_mu}, {l2_up})")
     _require(args.problem != "custom" or args.exact_expr is not None,
              "converge needs a problem with a known exact solution")
-    problem, spec = _setup(args, args.n_max)
+    problem, spec = _setup(args, args.n_max, [args.out, args.svg])
     l2_spec = BackwardSpec(JacobiParams(l2_mu, l2_up), args.rho)
     if args.problem in ("case1", "case2"):
         gamma = regularity_index(args.gamma1, args.gamma2)
@@ -281,6 +300,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     results = run_all(seed=args.seed, quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -24,15 +24,16 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Exponent pair of a Jacobi weight: (1-z)^mu * z^upsilon, both > -1."""
+    """Exponent pair of a Jacobi weight: (1-z)^mu * z^upsilon, both finite
+    and > -1."""
 
     mu: float
     upsilon: float
 
     def __post_init__(self):
-        if not (self.mu > -1.0 and self.upsilon > -1.0):
+        if not (-1.0 < self.mu < math.inf and -1.0 < self.upsilon < math.inf):
             raise ValueError(
-                f"Jacobi exponents must satisfy mu, upsilon > -1, got "
+                f"Jacobi exponents must be finite and satisfy mu, upsilon > -1, got "
                 f"({self.mu}, {self.upsilon})"
             )
 

@@ -32,24 +32,16 @@ _GRADING_RATIO = 0.15
 def _panel_rule(panels: int, points: int):
     """Points and weights of the composite rule on (0,1) with `panels`
     graded panels toward each end and `points` Gauss points per panel."""
-    r = _GRADING_RATIO
-    edges = [0.0]
-    for j in range(panels - 1, 0, -1):
-        edges.append(0.5 * r**j)
-    edges.append(0.5)
-    for j in range(1, panels):
-        e = 1.0 - 0.5 * r**j
-        if 1.0 - e < 1e-12:  # deeper panels are below double resolution
-            break
-        edges.append(e)
-    edges.append(1.0)
+    # Depths 0.5 r^j of the graded edges, j = 1..panels-1, with Python's pow:
+    # numpy's is an ulp off at some j, which moves the weights.
+    depth = 0.5 * np.array([_GRADING_RATIO**j for j in range(1, panels)])
+    top = 1.0 - depth
+    top = top[1.0 - top >= 1e-12]  # deeper panels are below double resolution
+    edges = np.concatenate([[0.0], depth[::-1], [0.5], top, [1.0]])
     x, w = np.polynomial.legendre.leggauss(points)
-    pts, wts = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        pts.append(a + half * (x + 1.0))
-        wts.append(half * w)
-    rule = (np.concatenate(pts), np.concatenate(wts))
+    half = 0.5 * np.diff(edges)[:, None]
+    # one row per panel; np.concatenate joins the rows in order
+    rule = (np.concatenate(edges[:-1, None] + half * (x + 1.0)), np.concatenate(half * w))
     rule[0].setflags(write=False)
     rule[1].setflags(write=False)
     return rule
@@ -76,19 +68,23 @@ def _oracle_core(theta: float, w: np.ndarray, kernel, u_w, rule) -> np.ndarray:
     return out
 
 
-def _verified_oracle(theta: float, w: np.ndarray, kernel, u_w) -> np.ndarray:
-    """_oracle_core with twice the points per panel, checked against the
-    standard layout; a shift above 1e-9, or NaN, raises NumericalError."""
-    coarse = _oracle_core(theta, w, kernel, u_w, _panel_rule(_PANELS, _POINTS_PER_PANEL))
-    fine = _oracle_core(theta, w, kernel, u_w, _panel_rule(_PANELS, 2 * _POINTS_PER_PANEL))
+def _verified_oracle(theta: float, w, kernel, u_w):
+    """Values of the adjoint operator at endpoint distances w (any shape; a
+    scalar gives a numpy float64), with the integrand in w as in _oracle_core.
+    They come from twice the points per panel, checked against the standard
+    layout; a shift above 1e-9, or NaN, raises NumericalError."""
+    w = np.asarray(w, dtype=float)
+    flat = w.ravel()
+    coarse = _oracle_core(theta, flat, kernel, u_w, _panel_rule(_PANELS, _POINTS_PER_PANEL))
+    fine = _oracle_core(theta, flat, kernel, u_w, _panel_rule(_PANELS, 2 * _POINTS_PER_PANEL))
     shift = np.abs(fine - coarse)
     if not np.all(shift <= 1e-9):  # NaN fails too
         i = int(np.argmin(shift <= 1e-9))
         raise NumericalError(
-            f"oracle unstable at 1-t={w[i]:.17g}: doubling the points moved value by "
+            f"oracle unstable at 1-t={flat[i]:.17g}: doubling the points moved value by "
             f"{shift[i]:.3e}"
         )
-    return fine
+    return fine.reshape(w.shape)[()]
 
 
 def oracle_kr(u, theta: float, kernel, t):
@@ -105,12 +101,7 @@ def oracle_kr(u, theta: float, kernel, t):
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t < 1.0)):
         raise ValueError(f"t must lie in [0,1), got {t}")
-
-    def u_w(w_rho):
-        return u(1.0 - w_rho)
-
-    vals = _verified_oracle(theta, 1.0 - t.ravel(), kernel, u_w)
-    return vals.reshape(t.shape)[()]
+    return _verified_oracle(theta, 1.0 - t, kernel, lambda w: u(1.0 - w))
 
 
 def _unit_kernel(t, varrho):
@@ -119,10 +110,12 @@ def _unit_kernel(t, varrho):
 
 def _source_mismatch(prob: ProblemDefinition) -> float:
     """Max |g - (u - K_R u)| over five probe points, with g read through
-    `source_at` and K_R u from one oracle call; NaN when any value is NaN."""
+    `source_at`, and u and K_R u (one oracle call) through `exact_w`; NaN when
+    any value is NaN."""
     t = np.array([0.0, 0.25, 0.5, 0.75, 0.95])
-    g = prob.source_at(t, 1.0 - t)
-    ref = prob.exact(t) - oracle_kr(prob.exact, prob.theta, prob.kernel, t)
+    w = 1.0 - t
+    g = prob.source_at(t, w)
+    ref = prob.exact_w(w) - _verified_oracle(prob.theta, w, prob.kernel, prob.exact_w)
     return float(np.max(np.abs(g - ref)))
 
 
@@ -154,8 +147,8 @@ def example1(theta: float) -> ProblemDefinition:
         half = 0.5 * w_in
         # Python's pow and math.sin per element: numpy's can be an ulp away,
         # which the theta = 2/3 systems (cond ~ 1e8) turn into 1e-9 in u.
-        pw = np.array([x**nu for x in w_in.ravel().tolist()]).reshape(w.shape)
-        sn = np.array([math.sin(h) for h in half.ravel().tolist()]).reshape(w.shape)
+        pw = np.vectorize(lambda x: x**nu, otypes=[float])(w_in)
+        sn = np.vectorize(math.sin, otypes=[float])(half)
         g = u_w(w_in) - scale * pw * sn * bessel_j(nu, half)
         return np.where(edge, 0.0, g)[()]
 
@@ -169,11 +162,15 @@ def example1(theta: float) -> ProblemDefinition:
     return prob
 
 
+def _check_exponents(gamma1: float, gamma2: float) -> None:
+    if not (0.0 < gamma1 < math.inf and 0.0 < gamma2 < math.inf):
+        raise ValueError(f"both exponents must be positive and finite, got ({gamma1}, {gamma2})")
+
+
 def case_i(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
     """Two-power terminal-singular solution (1-t)^{g1} + (1-t)^{g2} with a
     beta-function closed-form source."""
-    if not (gamma1 > 0.0 and gamma2 > 0.0):
-        raise ValueError("both exponents must be positive")
+    _check_exponents(gamma1, gamma2)
     b1 = beta(1.0 - theta, gamma1 + 1.0)
     b2 = beta(1.0 - theta, gamma2 + 1.0)
 
@@ -193,16 +190,14 @@ def case_ii(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
     """Terminal-singular solution sin((1-t)^{g1} + (1-t)^{g2}); no closed-form
     source, so g = u - K_R u comes from the oracle, doubling-checked on every
     call (NumericalError on a shift above 1e-9 or NaN)."""
-    if not (gamma1 > 0.0 and gamma2 > 0.0):
-        raise ValueError("both exponents must be positive")
+    _check_exponents(gamma1, gamma2)
 
     def u_w(w):
         return np.sin(w**gamma1 + w**gamma2)
 
     def g_w(w):
-        w = np.asarray(w, dtype=float)
-        kr = _verified_oracle(theta, w.ravel(), _unit_kernel, u_w).reshape(w.shape)
-        return (u_w(w) - kr)[()]
+        w = np.asarray(w, dtype=float)  # numpy's pow on a 0-d w, as on arrays
+        return u_w(w) - _verified_oracle(theta, w, _unit_kernel, u_w)
 
     return ProblemDefinition(theta=theta, kernel=_unit_kernel, source_w=g_w, exact_w=u_w)
 
@@ -211,17 +206,5 @@ def regularity_index(gamma1: float, gamma2: float) -> float:
     """Effective singular exponent governing the convergence rate: infinite
     when both exponents are positive integers, otherwise the smallest
     non-integer exponent."""
-    if not (gamma1 > 0.0 and gamma2 > 0.0):
-        raise ValueError("both exponents must be positive")
-
-    def is_nat(g: float) -> bool:
-        return abs(g - round(g)) < 1e-12
-
-    n1, n2 = is_nat(gamma1), is_nat(gamma2)
-    if n1 and n2:
-        return math.inf
-    if n2:
-        return gamma1
-    if n1:
-        return gamma2
-    return min(gamma1, gamma2)
+    _check_exponents(gamma1, gamma2)
+    return min((g for g in (gamma1, gamma2) if abs(g - round(g)) >= 1e-12), default=math.inf)

@@ -122,6 +122,8 @@ class TestEvalExpansion:
         assert got.shape == (3, 4)
         assert np.array_equal(got, eval_expansion(exp, ts).reshape(3, 4))
         assert isinstance(eval_expansion(exp, 0.25), float)
+        # calling the expansion is eval_expansion
+        assert np.array_equal(exp(ts.reshape(3, 4)), got) and exp(0.25) == eval_expansion(exp, 0.25)
 
 
 class TestInterpolate:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -24,6 +25,10 @@ def run(args):
     return main(args)
 
 
+def no_solve(*args):
+    raise AssertionError("solve called")
+
+
 class TestSolveCommand:
     def test_reference_invocation(self, tmp_path, capsys):
         out = tmp_path / "sol.csv"
@@ -39,6 +44,22 @@ class TestSolveCommand:
         for line in lines[1:]:
             t, un, ue, err = line.split(",")
             assert float(err) >= 0.0
+
+    def test_unwritable_out_refused_before_solving(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve", no_solve)
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["solve", "--n", "600", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys):
+        # the output check neither truncates an existing file nor leaves a new one
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("kept\n")
+        for out in (old, new):
+            assert run(CUSTOM + ["--kernel-expr", NAN_KERNEL, "--source-expr", "1.0",
+                                 "--out", str(out)]) == 3
+        assert "non-finite matrix" in capsys.readouterr().err
+        assert old.read_text() == "kept\n" and not new.exists()
 
     def test_theta_validation(self, capsys):
         assert run(["solve", "--theta", "1.5"]) == 2
@@ -146,6 +167,14 @@ class TestConvergeCommand:
         text = svg.read_text()
         assert "http://www.w3.org/2000/svg" in tree.getroot().tag
         assert "href" not in text and "url(" not in text
+
+    def test_unwritable_svg_refused_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve", no_solve)
+        out, svg = tmp_path / "b.csv", tmp_path / "missing" / "b.svg"
+        assert run(["converge", "--n-min", "16", "--n-max", "128", "--n-step", "16",
+                    "--out", str(out), "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{svg}'\n"
+        assert not out.exists()
 
     def test_range_validation(self, capsys):
         assert run(["converge", "--n-min", "10", "--n-max", "5"]) == 2
@@ -443,6 +472,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+
+def _numeric_flag_rows():
+    """Every float flag at nan, inf and -inf, every int flag at -1 and
+    --l2-weight at nan,0 and inf,0, read from the parser: each must be
+    refused as a usage error."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    values = {float: ("nan", "inf", "-inf"), int: ("-1",)}
+    rows = [[command, f"{action.option_strings[0]}={v}"]
+            for command, parser in commands.items() for action in parser._actions
+            for v in values.get(action.type, ())]
+    rows += [["converge", f"--l2-weight={v}"] for v in ("nan,0", "inf,0")]
+    # only case1 and case2 read the exponents
+    rows = [r + ["--problem", "case1"] if "--gamma" in r[1] else r for r in rows]
+    return [pytest.param(r, id=" ".join(r[:2])) for r in rows]
+
+
+@pytest.mark.parametrize("argv", _numeric_flag_rows())
+def test_numeric_flag_out_of_range_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ".py:" not in err
 
 
 def _scalar_values(f, t, p):

@@ -33,6 +33,11 @@ class TestJacobiParams:
             JacobiParams(-1.0, 0.0)
         with pytest.raises(ValueError):
             JacobiParams(0.0, -1.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                JacobiParams(bad, 0.0)
+            with pytest.raises(ValueError, match="finite"):
+                JacobiParams(0.0, bad)
 
     def test_shifted(self):
         p = JacobiParams(-0.5, 0.25).shifted(2)
@@ -65,6 +70,8 @@ class TestJacobiEval:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             jacobi_eval(JacobiParams(0, 0), -1, 0.0)
+        with pytest.raises(ValueError):
+            jacobi_norm(JacobiParams(0, 0), -1)
 
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_against_scipy(self, params):

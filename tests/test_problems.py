@@ -107,6 +107,11 @@ class TestExample1:
             for t, r in zip(ts, ref):
                 assert abs(prob.source(t) - r) <= 1e-9
 
+    def test_theta_validation(self):
+        for theta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="theta must lie in"):
+                example1(theta)
+
     def test_source_mismatch_raises(self, monkeypatch):
         bessel_j = fbjacobi.problems.bessel_j
         monkeypatch.setattr(fbjacobi.problems, "bessel_j",
@@ -172,6 +177,8 @@ class TestCaseI:
     def test_validates_exponents(self):
         with pytest.raises(ValueError):
             case_i(0.5, -1.0, 2.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            case_i(0.5, math.inf, 2.0)
 
 
 class TestCaseII:
@@ -196,6 +203,11 @@ class TestCaseII:
         u = lambda t: float(prob.exact(t))
         other = u(0.25) - layout_value(u, 0.5, prob.kernel, 0.25, 30, 20)
         assert abs(float(prob.source(0.25)) - other) <= 1e-11
+
+    def test_validates_exponents(self):
+        for gammas in ((0.0, 2.0), (SQRT2, -1.0), (SQRT2, math.inf), (math.nan, SQRT3)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                case_ii(0.5, *gammas)
 
     def test_source_is_deterministic(self):
         prob = case_ii(0.5, SQRT2, SQRT3)
@@ -222,3 +234,5 @@ class TestRegularityIndex:
     def test_positive_exponents_required(self):
         with pytest.raises(ValueError):
             regularity_index(0.0, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            regularity_index(SQRT2, math.inf)
