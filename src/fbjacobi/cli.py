@@ -21,11 +21,11 @@ import numpy as np
 from .approximation import (MAX_CARDINAL_ENTRIES, MAX_N, _sample, eval_grid, linf_error,
                             weighted_l2_error)
 from .backward_basis import BackwardSpec
-from .jacobi_core import JacobiParams, NumericalError
+from .jacobi_core import JacobiParams
 from .problems import case_i, case_ii, example1, regularity_index
 from .selfcheck import run_all
 from .svgplot import render_semilog
-from .volterra_solver import ProblemDefinition, solve
+from .volterra_solver import ProblemDefinition, _require_finite, solve
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -237,9 +237,7 @@ def cmd_solve(args) -> int:
     exact_cols = [[None] * len(ts)] * 2  # empty cells without an exact solution
     if problem.exact is not None:
         u_ex = _sample(problem.exact, ts)
-        bad = np.count_nonzero(~np.isfinite(u_ex))
-        if bad:
-            raise NumericalError(f"non-finite exact solution at {bad} of {len(ts)} grid points")
+        _require_finite("exact solution", u_ex)
         exact_cols = [u_ex.tolist(), np.abs(u_num - u_ex).tolist()]
     _write_text(args.out, _csv("t,u_num,u_exact,abs_error",
                                [ts.tolist(), u_num.tolist(), *exact_cols]))

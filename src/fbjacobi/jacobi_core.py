@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import math
 import numpy as np
 
-from .special_functions import beta, log_gamma
+from .special_functions import beta
 
 
 class NumericalError(RuntimeError):
@@ -111,10 +111,10 @@ def jacobi_norm(params: JacobiParams, r: int) -> float:
     if r == 0:
         return beta(mu + 1.0, up + 1.0)
     log_val = (
-        log_gamma(r + mu + 1.0)
-        + log_gamma(r + up + 1.0)
-        - log_gamma(r + 1.0)
-        - log_gamma(r + mu + up + 1.0)
+        math.lgamma(r + mu + 1.0)
+        + math.lgamma(r + up + 1.0)
+        - math.lgamma(r + 1.0)
+        - math.lgamma(r + mu + up + 1.0)
     )
     return math.exp(log_val) / (2.0 * r + mu + up + 1.0)
 

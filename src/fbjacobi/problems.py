@@ -16,7 +16,7 @@ import numpy as np
 
 from .approximation import _sample
 from .jacobi_core import NumericalError
-from .special_functions import bessel_j, beta, log_gamma
+from .special_functions import bessel_j, beta
 from .volterra_solver import ProblemDefinition
 
 # Oracle layout: geometric panels per endpoint, Gauss points per panel and the
@@ -128,10 +128,6 @@ def example1(theta: float) -> ProblemDefinition:
     oracle (one doubling-checked call over five probe points); a mismatch
     above 1e-9, or NaN, raises NumericalError.
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0,1), got {theta}")
-    nu = 0.5 - theta
-    scale = math.sqrt(math.pi) * math.exp(log_gamma(1.0 - theta))
 
     def u_w(w):
         w = np.asarray(w, dtype=float)
@@ -140,7 +136,9 @@ def example1(theta: float) -> ProblemDefinition:
         out = np.where(w > 0.0, w, 1.0) ** (1.0 - theta) * np.sinc(w / np.pi)
         return np.where(w > 0.0, out, 0.0)[()]
 
-    def g_w(w):
+    def g_w(w):  # theta is checked by ProblemDefinition before any call
+        nu = 0.5 - theta
+        scale = math.sqrt(math.pi) * math.exp(math.lgamma(1.0 - theta))
         w = np.asarray(w, dtype=float)
         edge = w <= 0.0  # g is 0 there; the closed form is evaluated at w = 1
         w_in = np.where(edge, 1.0, w)
@@ -171,13 +169,13 @@ def case_i(theta: float, gamma1: float, gamma2: float) -> ProblemDefinition:
     """Two-power terminal-singular solution (1-t)^{g1} + (1-t)^{g2} with a
     beta-function closed-form source."""
     _check_exponents(gamma1, gamma2)
-    b1 = beta(1.0 - theta, gamma1 + 1.0)
-    b2 = beta(1.0 - theta, gamma2 + 1.0)
 
     def u_w(w):
         return w**gamma1 + w**gamma2
 
-    def g_w(w):
+    def g_w(w):  # theta is checked by ProblemDefinition before any call
+        b1 = beta(1.0 - theta, gamma1 + 1.0)
+        b2 = beta(1.0 - theta, gamma2 + 1.0)
         return (
             w**gamma1 - b1 * w ** (1.0 - theta + gamma1)
             + w**gamma2 - b2 * w ** (1.0 - theta + gamma2)

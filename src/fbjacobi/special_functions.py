@@ -1,9 +1,10 @@
-"""Special functions shared by every other module.
+"""Special functions: Beta (Jacobi norms, selftest references, case1's
+source), Bessel J of fractional order (example1's source) and Mittag-Leffler
+(the resolvent's growth; no caller in the package yet).
 
-Gamma ratios are taken in log space (``math.lgamma``, or ``log_gamma`` where
-the argument is checked first), so ratios of large gamma values never
-overflow; series are truncated by a relative-term criterion so accuracy is
-uniform over the admissible parameter ranges.
+Gamma ratios are taken in log space with ``math.lgamma``, so ratios of large
+gamma values never overflow; series are truncated by a relative-term
+criterion so accuracy is uniform over the admissible parameter ranges.
 """
 
 import math
@@ -14,13 +15,6 @@ import numpy as np
 # ends them sooner.
 _BESSEL_MAX_TERMS = 200
 _MITTAG_LEFFLER_MAX_TERMS = 500
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def beta(a: float, b: float) -> float:

@@ -456,11 +456,11 @@ class TestExitCodes:
         # converge turns a non-finite exact column into an empty row; solve fails
         pytest.param(CUSTOM + ["--kernel-expr", "1", "--source-expr", "t",
                                "--exact-expr", "math.nan"],
-                     3, "NumericalError: non-finite exact solution at 11 of 11 grid points",
+                     3, "NumericalError: non-finite exact solution: 11 of 11 entries",
                      id="nan-exact-solve"),
         pytest.param(CUSTOM + ["--kernel-expr", "1", "--source-expr", "t",
                                "--exact-expr", "math.inf*(1+t)"],
-                     3, "NumericalError: non-finite exact solution at 11 of 11 grid points",
+                     3, "NumericalError: non-finite exact solution: 11 of 11 entries",
                      id="inf-exact-solve"),
         # an inf or NaN over 0 sets no numpy flag; Python raises
         *[pytest.param(CUSTOM + ["--kernel-expr", "1", "--source-expr", expr], 3,

@@ -180,6 +180,11 @@ class TestCaseI:
         with pytest.raises(ValueError, match="positive and finite"):
             case_i(0.5, math.inf, 2.0)
 
+    @pytest.mark.parametrize("theta", [1.5, 1.0])
+    def test_theta_checked_before_the_beta_constants(self, theta):
+        with pytest.raises(ValueError, match=rf"theta must lie in \(0,1\), got {theta}"):
+            case_i(theta, 1.0, 2.0)
+
 
 class TestCaseII:
     def test_terminal_source_value(self):

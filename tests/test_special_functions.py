@@ -7,35 +7,8 @@ import pytest
 from fbjacobi.special_functions import (
     bessel_j,
     beta,
-    log_gamma,
     mittag_leffler,
 )
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert abs(log_gamma(5.0) - math.log(24.0)) < 1e-13 * math.log(24.0)
-        assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-13
-
-    def test_domain(self):
-        with pytest.raises(ValueError, match="log_gamma requires x > 0"):
-            log_gamma(0.0)
-        with pytest.raises(ValueError, match="log_gamma requires x > 0"):
-            log_gamma(-3.5)
-
-    def test_recurrence(self):
-        # Gamma(x+1) = x Gamma(x) across the first decade of arguments
-        for k in range(1, 101):
-            x = 0.1 * k
-            lhs = math.exp(log_gamma(x + 1.0))
-            rhs = x * math.exp(log_gamma(x))
-            assert abs(lhs - rhs) <= 1e-12 * lhs
-
-    def test_accuracy_against_mpmath(self):
-        for x in (1e-3, 0.37, 1.0, 2.0, 7.3, 41.0, 123.4, 200.0):
-            ref = float(mpmath.loggamma(x))
-            assert abs(log_gamma(x) - ref) <= 1e-13 * max(abs(ref), 1.0)
 
 
 class TestBeta:

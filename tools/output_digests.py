@@ -1,0 +1,92 @@
+"""Digests of a fixed corpus of CLI outputs, for byte-identity checks.
+
+Runs `fbjacobi.cli.main` in-process, each invocation in a fresh temporary
+directory, over the README `solve` and `converge` commands, the benchmark's
+converge configurations and custom-expression seeds 0-5 (argv read from
+`bench/workloads.py`), case2 `solve` and `converge --svg`, `selftest --quick`
+at seeds 0-3 and the full selftest. For each it prints
+
+    name sha256[:16]
+
+of the exit code, stdout, stderr and every file written. Run it on two
+checkouts and diff the outputs:
+
+    python tools/output_digests.py               # fbjacobi from this checkout
+    python tools/output_digests.py OTHER_CHECKOUT  # fbjacobi from OTHER_CHECKOUT/src
+
+It writes nothing outside its temporary directories.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def corpus(workloads):
+    """(name, argv) pairs; output paths are relative to the working directory."""
+    runs = [
+        ("readme-solve", ["solve", "--problem", "example1", "--theta", "0.5", "--rho", "0.5",
+                          "--mu", "-0.25", "--upsilon", "-0.25", "--n", "20",
+                          "--out", "sol.csv"]),
+        ("readme-converge", ["converge", "--problem", "case1",
+                             "--gamma1", "1.4142135623730951", "--gamma2", "1.7320508075688772",
+                             "--theta", "0.5", "--rho", "0.5", "--mu", "-0.5", "--upsilon", "-0.5",
+                             "--l2-weight=0,0", "--n-min", "8", "--n-max", "64", "--n-step", "8",
+                             "--out", "rates.csv", "--svg", "rates.svg"]),
+    ]
+    for theta, rho in workloads.CONVERGE_CONFIGS:
+        runs.append((f"bench-converge-{theta:.4g}-{rho:.4g}",
+                     workloads.converge_argv(theta, rho, "converge.csv")))
+    for seed in range(6):
+        custom = workloads.CustomExpr(seed, Path("."))
+        custom.prepare(None)
+        runs.append((f"custom-expr-{seed}", custom.argv))
+    runs += [
+        ("case2-solve", ["solve", "--problem", "case2", "--n", "16", "--out", "case2.csv"]),
+        ("case2-converge", ["converge", "--problem", "case2", "--n-min", "4", "--n-max", "16",
+                            "--n-step", "4", "--out", "case2.csv", "--svg", "case2.svg"]),
+    ]
+    runs += [(f"selftest-quick-{seed}", ["selftest", "--quick", "--seed", str(seed)])
+             for seed in range(4)]
+    runs.append(("selftest-full", ["selftest"]))
+    return runs
+
+
+def digest(main, argv) -> str:
+    """sha256[:16] of main(argv)'s exit code, stdout, stderr and written files,
+    run in a fresh temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            h = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode())
+            for name in sorted(os.listdir(tmp)):
+                h.update(name.encode() + b"\0" + Path(tmp, name).read_bytes() + b"\0")
+        finally:
+            os.chdir(cwd)
+    return h.hexdigest()[:16]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    checkout = Path(argv[0]).resolve() if argv else ROOT
+    sys.path[:0] = [str(checkout / "src"), str(ROOT / "bench")]
+    import workloads
+    from fbjacobi import cli
+
+    for name, run_argv in corpus(workloads):
+        print(name, digest(cli.main, run_argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
