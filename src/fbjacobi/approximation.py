@@ -11,16 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward_basis import BackwardSpec, map_forward, map_inverse
-from .jacobi_core import JacobiParams, gauss_rule, jacobi_norm, jacobi_table
+from .jacobi_core import MAX_N, JacobiParams, gauss_rule, jacobi_norm, jacobi_table
 
-# Largest N a node set is built for: the solve is O(N^3), and the Gauss rules
-# and solves are tested up to here.
-MAX_N = 1200
 # Largest M x (N+1) cardinal matrix the CLI builds to evaluate a degree-N
 # solution at M grid points: 2**26 float64 entries are 512 MiB.
 MAX_CARDINAL_ENTRIES = 2**26
 # Node-gap columns per block of the barycentric product.
 _GAP_BLOCK = 256
+_FLOAT = np.dtype(float)
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -74,24 +72,33 @@ def cardinal_matrix(nodes: np.ndarray, bary: np.ndarray, zs: np.ndarray) -> np.n
     return out
 
 
+def _real(vals):
+    """vals, unless it is complex: then TypeError (float() and numpy's casts
+    would cut it to its real part with only a ComplexWarning)."""
+    if isinstance(vals, complex) or getattr(vals, "dtype", _FLOAT).kind == "c":
+        raise TypeError(f"complex value {vals!r} where a real one is needed")
+    return vals
+
+
 def _sample(func, *args) -> np.ndarray:
     """func evaluated pointwise on the broadcast of its arguments.
 
     One array call when func accepts arrays and returns either the broadcast
     shape or a scalar (a constant, which is broadcast); otherwise, or when the
-    array call raises TypeError or ValueError (a scalar-only function), one
-    scalar call per point. Any other exception propagates.
+    array call raises TypeError or ValueError (a scalar-only function) or
+    returns complex values, one scalar call per point. A complex value there
+    raises TypeError; any other exception propagates.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     shape = args[0].shape
     try:
-        vals = np.asarray(func(*args), dtype=float)
+        vals = np.asarray(_real(func(*args)), dtype=float)
         if vals.shape in (shape, ()):
             return np.broadcast_to(vals, shape).copy()
     except (TypeError, ValueError):
         pass
     points = zip(*(a.ravel().tolist() for a in args))
-    return np.array([float(func(*p)) for p in points], dtype=float).reshape(shape)
+    return np.array([float(_real(func(*p))) for p in points], dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -66,12 +66,14 @@ def _write_text(path, text: str) -> None:
 
 
 def _check_writable(paths) -> None:
-    """Open each output path (None: no file) for writing, so that an
-    unwritable one raises OSError before numerical work. An existing file is
-    opened for appending and left as it was; a new one is removed again."""
+    """Refuse two output paths (None: no file) that name the same file, then
+    open each for writing, so that an unwritable one raises OSError before
+    numerical work. An existing file is opened for appending and left as it
+    was; a new one is removed again."""
+    paths = [p for p in paths if p is not None]
+    _require(len({os.path.realpath(p) for p in paths}) == len(paths),
+             f"the output paths {' and '.join(paths)} name the same file")
     for path in paths:
-        if path is None:
-            continue
         try:
             with open(path, "x"):
                 pass
@@ -138,10 +140,10 @@ def _untrapped_inf(node, names) -> bool:
 
 
 def _finite(x):
-    """x, if it is real and every value is finite; else ValueError. (Python
-    gives a complex for (-8) ** 0.5, which float() refuses.)"""
-    if np.iscomplexobj(x) or not np.isfinite(x).all():
-        raise ValueError("not real and finite")
+    """x, if every value is finite; else ValueError. (A complex x, as
+    Python's (-8) ** 0.5 gives, is refused by `_sample`.)"""
+    if not np.isfinite(x).all():
+        raise ValueError("not finite")
     return x
 
 
@@ -158,9 +160,9 @@ def _expr_function(expr: str, names):
     for scalar arguments; raises UsageError if it does not parse or leaves the
     grammar. If it has an array form, array arguments run the same tree against
     `_ARRAY_MATH`, where numpy traps each step at which Python raises on
-    finite values (1/0, log(0), exp(1000)). A trap, or a value not real and
-    finite, raises ValueError, so that `_sample` evaluates the scalar form
-    point by point and any error is the scalar form's own."""
+    finite values (1/0, log(0), exp(1000)). A trap, or a value not finite,
+    raises ValueError; `_sample` refuses a complex value. Either way `_sample`
+    evaluates the scalar form point by point, so any error is its own."""
     try:
         tree = ast.parse(expr, "<expr>", "eval")
     except SyntaxError as exc:

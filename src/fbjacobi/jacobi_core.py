@@ -13,13 +13,18 @@ import numpy as np
 
 from .special_functions import beta
 
+# Largest N a node set is built for: the solve is O(N^3), and the Gauss rules
+# and solves are tested up to here.
+MAX_N = 1200
+
 
 class NumericalError(RuntimeError):
     """The numbers went wrong: a Gauss rule failed to converge or to
-    validate, a source failed at a collocation node, a collocation system or
-    its solution is singular or not finite, or the quadrature oracle failed
-    its doubling check. Input that is refused before numerical work raises
-    ValueError instead."""
+    validate, a collocation node reached the terminal endpoint, a source
+    failed at a collocation node, a collocation system or its solution is
+    singular or not finite, or the quadrature oracle failed its doubling
+    check. Input that is refused before numerical work raises ValueError
+    instead."""
 
 
 @dataclass(frozen=True)
@@ -125,9 +130,14 @@ def gauss_rule(params: JacobiParams, m: int) -> QuadratureRule:
     Golub-Welsch: eigen-decomposition of the symmetric tridiagonal matrix of
     the monic three-term recurrence; weights come from the first components
     of the normalized eigenvectors scaled by the weight's total mass.
+    Raises ValueError before allocating the two m x m matrices for m above
+    4 (MAX_N + 1), the L2 rule of `fbjacobi converge` at N = MAX_N and the
+    largest rule the package builds.
     """
     if m < 1:
         raise ValueError(f"rule size must be >= 1, got {m}")
+    if m > 4 * (MAX_N + 1):
+        raise ValueError(f"rule size {m} exceeds 4 (MAX_N + 1) = {4 * (MAX_N + 1)}")
     mass = jacobi_norm(params, 0)
     # Monic Jacobi matrix on [-1,1] from the recurrence of P_k, then halved
     # and shifted by the affine map x = 2z - 1; only the lower triangle, which

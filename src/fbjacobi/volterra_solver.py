@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximation import Interpolant, _node_set, _sample, cardinal_matrix
+from .approximation import Interpolant, _node_set, _real, _sample, cardinal_matrix
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams, NumericalError, gauss_rule
 
@@ -57,7 +57,7 @@ class ProblemDefinition:
             object.__setattr__(self, "exact", _in_t(self.exact_w))
         for t in (0.0, 0.3, 0.8):
             for rho_ in (t, 0.5 * (t + 1.0), 1.0):
-                val = float(self.kernel(t, rho_))
+                val = float(_real(self.kernel(t, rho_)))
                 if not math.isfinite(val):
                     raise ValueError(
                         f"kernel not finite at (t, rho) = ({t}, {rho_}): {val}"
@@ -112,7 +112,7 @@ class _Assembly:
         self.nodes_z, self.nodes_t, self.bary = _node_set(spec, n)
         self.w_nodes = np.exp(np.log1p(-self.nodes_z) / rho)  # 1 - t_i
         if not np.all(self.w_nodes > 0.0):
-            raise ValueError("collocation node reached the terminal endpoint")
+            raise NumericalError("collocation node reached the terminal endpoint")
 
         qrule = gauss_rule(JacobiParams(1.0 / rho - 1.0, -theta), n + 1)
         self.chi = qrule.weights
@@ -177,9 +177,10 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
     partial pivoting) and wrap the nodal values in an evaluable interpolant.
 
     Raises ValueError for N > MAX_N before anything is built. Raises
-    NumericalError when the source fails at a node, when the matrix or the
-    rhs has a non-finite entry (before LAPACK runs), on an exact zero pivot,
-    and when the solution has a non-finite entry. The diagnostics carry the
+    NumericalError when a node's 1 - t underflows to 0 (small rho, large N),
+    when the source fails at a node, when the matrix or the rhs has a
+    non-finite entry (before LAPACK runs), on an exact zero pivot, and when
+    the solution has a non-finite entry. The diagnostics carry the
     1-norm condition number; a value above 1e12, or NaN, sets
     `near_singular` and issues a RuntimeWarning.
     """

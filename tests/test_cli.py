@@ -176,6 +176,17 @@ class TestConvergeCommand:
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{svg}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("svg", ["r.out", "./r.out"])
+    def test_one_file_for_both_outputs_is_refused(self, svg, tmp_path, monkeypatch, capsys):
+        # else the SVG would overwrite the CSV; refused before the problem is built
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "example1", no_solve)
+        assert run(["converge", "--n-min", "4", "--n-max", "8",
+                    "--out", "r.out", "--svg", svg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the output paths r.out and {svg} name the same file\n")
+        assert not (tmp_path / "r.out").exists()
+
     def test_range_validation(self, capsys):
         assert run(["converge", "--n-min", "10", "--n-max", "5"]) == 2
         assert run(["converge", "--n-step", "0"]) == 2

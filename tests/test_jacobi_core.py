@@ -6,6 +6,7 @@ import scipy.special
 
 import fbjacobi
 from fbjacobi.jacobi_core import (
+    MAX_N,
     JacobiParams,
     NumericalError,
     QuadratureRule,
@@ -275,6 +276,19 @@ class TestGaussRule:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             gauss_rule(JacobiParams(0, 0), 0)
+
+    def test_size_limit_is_checked_before_allocating(self, monkeypatch):
+        # converge's L2 rule at N = MAX_N has 4 (MAX_N + 1) points; one more is
+        # refused before the recurrence or the eigen-decomposition runs
+        def allocates(*args):
+            raise AssertionError("rule built")
+
+        monkeypatch.setattr(fbjacobi.jacobi_core, "_recurrence_coeffs", allocates)
+        monkeypatch.setattr(np.linalg, "eigh", allocates)
+        with pytest.raises(AssertionError, match="rule built"):
+            gauss_rule(JacobiParams(0, 0), 4 * (MAX_N + 1))
+        with pytest.raises(ValueError, match=r"rule size 4805 exceeds 4 \(MAX_N \+ 1\) = 4804"):
+            gauss_rule(JacobiParams(0, 0), 4 * (MAX_N + 1) + 1)
 
     def test_rule_is_immutable(self):
         rule = gauss_rule(JacobiParams(0, 0), 3)

@@ -12,7 +12,7 @@ from fbjacobi import approximation, volterra_solver
 from fbjacobi.approximation import MAX_N, cardinal_matrix, linf_error
 from fbjacobi.backward_basis import BackwardSpec, fb_nodes
 from fbjacobi.jacobi_core import JacobiParams, NumericalError, gauss_rule
-from fbjacobi.problems import case_i, oracle_kr
+from fbjacobi.problems import case_i, example1, oracle_kr
 from fbjacobi.special_functions import beta
 from fbjacobi.volterra_solver import (
     CollocationSolution,
@@ -143,8 +143,14 @@ class TestKernelTransform:
         monkeypatch.setattr(volterra_solver, "_node_set",
                             lambda spec, n: (nodes_z, 1.0 - (1.0 - nodes_z) ** 100,
                                              np.array([1.0, -1.0])))
-        with pytest.raises(ValueError, match="terminal endpoint"):
+        with pytest.raises(NumericalError, match="terminal endpoint"):
             _Assembly(unit_problem(0.5), spec, 1)
+
+    def test_terminal_node_of_a_real_rule(self):
+        # at rho = 0.01 the last of 101 Gauss nodes has 1 - t below double range
+        spec = spec_of(-0.25, -0.25, 0.01)
+        with pytest.raises(NumericalError, match="collocation node reached the terminal endpoint"):
+            solve(example1(0.5), spec, 100)
 
     def test_transform_reproduces_integral(self):
         # summing the transformed kernel against the Jacobi rule reproduces
@@ -292,6 +298,20 @@ class TestAssemble:
                            match="source evaluation failed on the node array") as info:
             assemble(prob, spec_of(-0.25, -0.25, 0.5), 8)
         assert str(info.value.__cause__) == "array boom"
+
+    def test_complex_source_and_kernel_are_refused(self):
+        # numpy's cast would solve for the real part of sqrt(t - 1/2) instead;
+        # its ComplexWarning is ignored so that only the refusal can pass
+        prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0,
+                                 source=lambda t: np.sqrt(np.asarray(t) - 0.5 + 0j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            with pytest.raises(NumericalError, match="source evaluation failed at node 0") as info:
+                solve(prob, spec_of(-0.25, -0.25, 0.5), 8)
+            assert isinstance(info.value.__cause__, TypeError)
+            with pytest.raises(TypeError, match="complex value"):
+                ProblemDefinition(theta=0.5, kernel=lambda t, p: np.complex128(1.0),
+                                  source=lambda t: 1.0)
 
     @pytest.mark.parametrize("n", [8, 64, 200])
     @pytest.mark.parametrize("mu, up, rho", [(-0.5, -0.5, 0.5), (0.5, -0.25, 1.0 / 3.0)])
