@@ -6,9 +6,10 @@ This module alone knows the three-term recurrence and the shift x = 2z - 1:
 its Golub-Welsch matrix from the monic form of the same recurrence.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
-import math
 import numpy as np
 
 from .special_functions import beta
@@ -20,11 +21,11 @@ MAX_N = 1200
 
 class NumericalError(RuntimeError):
     """The numbers went wrong: a Gauss rule failed to converge or to
-    validate, a collocation node reached the terminal endpoint, a source
-    failed at a collocation node, a collocation system or its solution is
-    singular or not finite, or the quadrature oracle failed its doubling
-    check. Input that is refused before numerical work raises ValueError
-    instead."""
+    validate, a collocation node reached the terminal endpoint, a kernel
+    failed at a quadrature point or a source at a collocation node, a
+    collocation system or its solution is singular or not finite, or the
+    quadrature oracle failed its doubling check. Input that is refused
+    before numerical work raises ValueError instead."""
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,26 @@ def gauss_rule(params: JacobiParams, m: int) -> QuadratureRule:
     of the normalized eigenvectors scaled by the weight's total mass.
     Raises ValueError before allocating the two m x m matrices for m above
     4 (MAX_N + 1), the L2 rule of `fbjacobi converge` at N = MAX_N and the
-    largest rule the package builds.
+    largest rule the package builds. Each (params, m) is built once per
+    process and the same read-only rule is returned after that.
     """
     if m < 1:
         raise ValueError(f"rule size must be >= 1, got {m}")
     if m > 4 * (MAX_N + 1):
         raise ValueError(f"rule size {m} exceeds 4 (MAX_N + 1) = {4 * (MAX_N + 1)}")
+    return _golub_welsch(params, m)
+
+
+@functools.lru_cache(maxsize=128)
+def _golub_welsch(params: JacobiParams, m: int) -> QuadratureRule:
+    """The rule of `gauss_rule`, built once per (params, m) in a process.
+
+    A rule is a pure function of its key and its arrays are read-only, so
+    callers share it; a failed build raises and stores nothing. Keys that
+    compare equal (0.0 and -0.0, 1 and 1.0) build bit-identical rules. 128
+    entries cover every key of one selftest run and hold at most
+    128 * 4804 * 16 bytes (about 9.8 MB).
+    """
     mass = jacobi_norm(params, 0)
     # Monic Jacobi matrix on [-1,1] from the recurrence of P_k, then halved
     # and shifted by the affine map x = 2z - 1; only the lower triangle, which

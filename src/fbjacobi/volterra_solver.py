@@ -119,7 +119,20 @@ class _Assembly:
         log_q = np.log1p(-qrule.nodes) / rho         # log(1 - s(eta_k))
         self.quad_t = 1.0 - self.w_nodes[:, None] * np.exp(log_q)
         self.quad_z = self.nodes_z[:, None] + np.outer(1.0 - self.nodes_z, qrule.nodes)
-        kernel = _sample(problem.kernel, self.nodes_t[:, None], self.quad_t)
+        try:
+            kernel = _sample(problem.kernel, self.nodes_t[:, None], self.quad_t)
+        except Exception as exc:
+            # Failure path only: name the first point at which the kernel
+            # fails, called as `_sample` calls a scalar-only kernel.
+            for i, (t, row) in enumerate(zip(self.nodes_t.tolist(), self.quad_t.tolist())):
+                for r in row:
+                    try:
+                        float(_real(problem.kernel(t, r)))
+                    except Exception as point_exc:
+                        raise NumericalError(
+                            f"kernel evaluation failed at node {i} (t = {t!r}, rho = {r!r})"
+                        ) from point_exc
+            raise NumericalError("kernel evaluation failed on the quadrature grid") from exc
         ratio = -np.expm1(log_q) / qrule.nodes       # s(eta_k) / eta_k
         self.kbar = ((self.w_nodes ** (1.0 - theta) / rho)[:, None]
                      * ratio ** (-theta) * kernel)
@@ -178,11 +191,11 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
 
     Raises ValueError for N > MAX_N before anything is built. Raises
     NumericalError when a node's 1 - t underflows to 0 (small rho, large N),
-    when the source fails at a node, when the matrix or the rhs has a
-    non-finite entry (before LAPACK runs), on an exact zero pivot, and when
-    the solution has a non-finite entry. The diagnostics carry the
-    1-norm condition number; a value above 1e12, or NaN, sets
-    `near_singular` and issues a RuntimeWarning.
+    when the kernel fails at a quadrature point or the source at a node,
+    when the matrix or the rhs has a non-finite entry (before LAPACK runs),
+    on an exact zero pivot, and when the solution has a non-finite entry.
+    The diagnostics carry the 1-norm condition number; a value above 1e12,
+    or NaN, sets `near_singular` and issues a RuntimeWarning.
     """
     t0 = time.perf_counter()
     ctx = _Assembly(problem, spec, n)

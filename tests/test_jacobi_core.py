@@ -10,13 +10,17 @@ from fbjacobi.jacobi_core import (
     JacobiParams,
     NumericalError,
     QuadratureRule,
+    _golub_welsch,
     _recurrence_coeffs,
     gauss_rule,
     jacobi_eval,
     jacobi_norm,
     jacobi_table,
 )
+from fbjacobi.backward_basis import BackwardSpec
+from fbjacobi.problems import example1
 from fbjacobi.special_functions import beta
+from fbjacobi.volterra_solver import solve
 
 PARAM_GRID = [
     JacobiParams(-0.25, -0.25),
@@ -294,6 +298,81 @@ class TestGaussRule:
         rule = gauss_rule(JacobiParams(0, 0), 3)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRuleCache:
+    """`gauss_rule` checks m, then returns the rule stored for (params, m),
+    building it on the first call. The autouse fixture in conftest.py starts
+    each test with no stored rule."""
+
+    @pytest.mark.parametrize("key, equal_key", [
+        ((JacobiParams(-0.0, 0), 5), (JacobiParams(0, 0), 5)),
+        ((JacobiParams(0, 0), 5), (JacobiParams(-0.0, 0), 5)),
+        ((JacobiParams(1, -0.5), 7), (JacobiParams(1.0, -0.5), 7)),
+        ((JacobiParams(-0.25, -0.25), np.int64(9)), (JacobiParams(-0.25, -0.25), 9)),
+    ], ids=["minus-zero-first", "zero-first", "int-exponent", "int64-size"])
+    def test_equal_keys_give_the_cold_rule_bit_for_bit(self, key, equal_key):
+        cold = gauss_rule(*equal_key)
+        _golub_welsch.cache_clear()
+        stored = gauss_rule(*key)
+        shared = gauss_rule(*equal_key)
+        assert shared is stored
+        assert _golub_welsch.cache_info().currsize == 1
+        assert same_bits(shared.nodes, cold.nodes)
+        assert same_bits(shared.weights, cold.weights)
+
+    def test_a_failed_build_is_not_stored(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalError, match="eigen-decomposition failed"):
+            gauss_rule(JacobiParams(0, 0), 3)
+        assert _golub_welsch.cache_info().currsize == 0
+        monkeypatch.undo()
+        rule = gauss_rule(JacobiParams(0, 0), 3)
+        assert np.all(np.diff(rule.nodes) > 0) and rule.nodes[0] > 0 and rule.nodes[-1] < 1
+        assert abs(float(rule.weights.sum()) - 1.0) <= 1e-15
+        assert abs(float(rule.weights @ rule.nodes**5) - 1.0 / 6.0) <= 1e-15
+
+    def test_sizes_are_checked_before_a_stored_rule_is_read(self, monkeypatch):
+        params = JacobiParams(0, 0)
+        stored = gauss_rule(params, 5)
+
+        def allocates(*args):
+            raise AssertionError("rule built")
+
+        monkeypatch.setattr(fbjacobi.jacobi_core, "_recurrence_coeffs", allocates)
+        monkeypatch.setattr(np.linalg, "eigh", allocates)
+        with pytest.raises(ValueError, match="rule size 4805 exceeds"):
+            gauss_rule(params, 4 * (MAX_N + 1) + 1)
+        with pytest.raises(ValueError, match="rule size must be >= 1"):
+            gauss_rule(params, 0)
+        assert gauss_rule(params, 5) is stored
+        info = _golub_welsch.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_the_store_is_bounded(self):
+        assert _golub_welsch.cache_info().maxsize == 128
+        for i in range(200):
+            gauss_rule(JacobiParams(0.01 * i, 0.0), 2)
+            assert _golub_welsch.cache_info().currsize <= 128
+        assert _golub_welsch.cache_info().currsize == 128
+
+    def test_repeated_solves_are_bit_identical(self):
+        problem = example1(0.5)
+        spec = BackwardSpec(JacobiParams(-0.25, -0.25), 0.5)
+        first = solve(problem, spec, 24)
+        hits = _golub_welsch.cache_info().hits
+        second = solve(problem, spec, 24)
+        assert _golub_welsch.cache_info().hits > hits
+        assert same_bits(first.values, second.values)
+        assert (np.float64(first.diagnostics.condition).tobytes()
+                == np.float64(second.diagnostics.condition).tobytes())
 
 
 def test_numerical_error_is_exported():

@@ -299,6 +299,48 @@ class TestAssemble:
             assemble(prob, spec_of(-0.25, -0.25, 0.5), 8)
         assert str(info.value.__cause__) == "array boom"
 
+    @staticmethod
+    def _complex_between_probes(t, r):
+        # real at ProblemDefinition's nine probes (t = 0, 0.3, 0.8), complex
+        # for 0.1 < t < 0.15
+        return (t - 0.15) ** 0.5 if 0.1 < t < 0.15 else 1.0
+
+    @staticmethod
+    def _raising_between_probes(t, r):
+        if 0.95 < r < 1.0:  # the probes take rho = 0.9 and 1.0
+            raise RuntimeError("boom")
+        return 1.0
+
+    @pytest.mark.parametrize("kernel, fails, cause", [
+        (_complex_between_probes, lambda t, r: 0.1 < t < 0.15, TypeError),
+        (_raising_between_probes, lambda t, r: 0.95 < r < 1.0, RuntimeError),
+    ], ids=["complex-in-t", "raises-in-rho"])
+    def test_kernel_failure_reports_node_and_point(self, kernel, fails, cause):
+        spec, n = spec_of(-0.25, -0.25, 0.5), 16
+        grid = _Assembly(unit_problem(0.5), spec, n)
+        i, k = next((i, k) for i in range(n + 1) for k in range(n + 1)
+                    if fails(grid.nodes_t[i], grid.quad_t[i, k]))
+        prob = ProblemDefinition(theta=0.5, kernel=kernel, source=lambda t: 1.0)
+        with pytest.raises(NumericalError, match="kernel evaluation failed at node") as info:
+            solve(prob, spec, n)
+        assert str(info.value) == (
+            f"kernel evaluation failed at node {i} "
+            f"(t = {float(grid.nodes_t[i])!r}, rho = {float(grid.quad_t[i, k])!r})")
+        assert isinstance(info.value.__cause__, cause)
+
+    def test_kernel_failing_only_on_the_grid_array(self):
+        # every point succeeds alone, so no point can be named
+        def kernel(t, r):
+            if np.ndim(t):
+                raise RuntimeError("array boom")
+            return 1.0
+
+        prob = ProblemDefinition(theta=0.5, kernel=kernel, source=lambda t: 1.0)
+        with pytest.raises(NumericalError,
+                           match="kernel evaluation failed on the quadrature grid") as info:
+            solve(prob, spec_of(-0.25, -0.25, 0.5), 8)
+        assert str(info.value.__cause__) == "array boom"
+
     def test_complex_source_and_kernel_are_refused(self):
         # numpy's cast would solve for the real part of sqrt(t - 1/2) instead;
         # its ComplexWarning is ignored so that only the refusal can pass

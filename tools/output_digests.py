@@ -4,7 +4,12 @@ Runs `fbjacobi.cli.main` in-process, each invocation in a fresh temporary
 directory, over the README `solve` and `converge` commands, the benchmark's
 converge configurations and custom-expression seeds 0-5 (argv read from
 `bench/workloads.py`), case2 `solve` and `converge --svg`, `selftest --quick`
-at seeds 0-3 and the full selftest. For each it prints
+at seeds 0-3 and the full selftest. Then it runs the first benchmark
+converge configuration and `selftest --quick --seed 0` twice more and digests
+the second run, under the same name plus `-warm`: in a tree that stores its
+Gauss rules, that run reads every rule from the store, so equal digests for an
+entry and its `-warm` twin, and for `-warm` entries of two checkouts, show
+that stored rules change no output. For each it prints
 
     name sha256[:16]
 
@@ -55,6 +60,10 @@ def corpus(workloads):
     runs += [(f"selftest-quick-{seed}", ["selftest", "--quick", "--seed", str(seed)])
              for seed in range(4)]
     runs.append(("selftest-full", ["selftest"]))
+    cold = dict(runs)
+    theta, rho = workloads.CONVERGE_CONFIGS[0]
+    runs += [(name + "-warm", cold[name])
+             for name in (f"bench-converge-{theta:.4g}-{rho:.4g}", "selftest-quick-0")]
     return runs
 
 
@@ -84,6 +93,8 @@ def main(argv=None) -> int:
     from fbjacobi import cli
 
     for name, run_argv in corpus(workloads):
+        if name.endswith("-warm"):
+            digest(cli.main, run_argv)  # builds every rule the digested run reads
         print(name, digest(cli.main, run_argv), flush=True)
     return 0
 
