@@ -213,8 +213,11 @@ def linf_error(f, g, samples: int, rho: float = 1.0) -> float:
 
 
 def lebesgue_constant(spec: BackwardSpec, n: int, samples: int) -> float:
-    """Max over a uniform z grid of the summed absolute cardinal functions
-    (exactly 1 for N = 0, a single node)."""
+    """Max over a uniform z grid of `samples` points of the summed absolute
+    cardinal functions (exactly 1 for N = 0, a single node). Raises
+    ValueError for samples < 1."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     nodes_z, _, bary = _node_set(spec, n)
     h = cardinal_matrix(nodes_z, bary, np.linspace(0.0, 1.0, samples))
     return float(np.max(np.sum(np.abs(h, out=h), axis=1)))

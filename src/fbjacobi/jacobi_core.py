@@ -85,7 +85,10 @@ def jacobi_table(params: JacobiParams, n: int, z) -> np.ndarray:
 
     Forward three-term recurrence in x = 2z - 1 from degrees 0 and 1; the
     degree runs along the first axis, so the result has shape (n+1,) + shape(z).
+    Raises ValueError for a negative n.
     """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     x = 2.0 * np.asarray(z, dtype=float) - 1.0
     table = np.empty((n + 1,) + x.shape)
     table[0] = 1.0
@@ -99,8 +102,6 @@ def jacobi_table(params: JacobiParams, n: int, z) -> np.ndarray:
 
 def jacobi_eval(params: JacobiParams, r: int, z):
     """Row r of `jacobi_table` at z; `z` may be a scalar or an ndarray."""
-    if r < 0:
-        raise ValueError(f"degree must be nonnegative, got {r}")
     return jacobi_table(params, r, z)[r][()]
 
 

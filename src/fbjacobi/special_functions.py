@@ -66,10 +66,13 @@ def mittag_leffler(sigma: float, z: float) -> float:
     term exceeds 1e4 times the sum's magnitude (over four digits cancelled).
     Raises OverflowError when a term or the sum leaves the representable
     range, or when the series has not converged within 500 terms (large z),
-    so a truncated partial sum is never returned.
+    so a truncated partial sum is never returned. Raises ValueError for a z
+    that is NaN or infinite, before any term is built.
     """
     if not sigma > 0.0:
         raise ValueError(f"mittag_leffler requires sigma > 0, got {sigma}")
+    if not math.isfinite(z):
+        raise ValueError(f"mittag_leffler requires a finite z, got {z}")
     if z == 0.0:
         return 1.0
     int_sigma = int(round(sigma)) if sigma == round(sigma) and sigma <= 64 else 0

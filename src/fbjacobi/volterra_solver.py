@@ -7,12 +7,14 @@ the basis, so the discrete operator is a plain Gauss sum. The same map makes
 the quadrature points of row i affine in z, z_i + (1 - z_i) eta_k. Assembly
 works with these z-points and the exact distances 1 - t, which stay
 meaningful even where t itself rounds to 1. The kernel is sampled once on the
-grid of (node, quadrature point) pairs. Each row then takes one pass: the
-reciprocal gaps between its quadrature points and the nodes fill one reused
-buffer, and two matrix-vector products give the barycentric denominators and
-the row. A row with a point exactly on a node (an infinite reciprocal) is
-built through `approximation.cardinal_matrix` instead. The dense system is
-solved and its 1-norm condition number computed with LAPACK through numpy.
+grid of (node, quadrature point) pairs, then the source once at the nodes,
+both through one helper that turns a failure into a NumericalError naming the
+first failing point. Each row then takes one pass: the reciprocal gaps
+between its quadrature points and the nodes fill one reused buffer, and two
+matrix-vector products give the barycentric denominators and the row. A row
+with a point exactly on a node (an infinite reciprocal) is built through
+`approximation.cardinal_matrix` instead. The dense system is solved and its
+1-norm condition number computed with LAPACK through numpy.
 """
 
 import math
@@ -78,6 +80,17 @@ def _in_t(f_w):
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """What a solve measured about itself.
+
+    `condition` is the 1-norm condition number of the collocation matrix.
+    `residual` is the maximum nodal |A u - g|: a backward error near machine
+    epsilon, not an estimate of the accuracy of u. `assembly_seconds` times
+    the nodes, rule, kernel and source sampling and the matrix rows;
+    `solve_seconds` the LU solve and its finiteness check. `near_singular`
+    is set when the condition number exceeds 1e12 or is NaN; `solve` then
+    also issues a RuntimeWarning.
+    """
+
     condition: float
     residual: float
     assembly_seconds: float
@@ -87,6 +100,10 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class CollocationSolution:
+    """The result of `solve`: nodal values u_i at the collocation nodes t_i,
+    the barycentric interpolant through them (calling the solution evaluates
+    it at t), and the solve's diagnostics."""
+
     nodes_t: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     interpolant: Interpolant = field(repr=False)
@@ -96,16 +113,43 @@ class CollocationSolution:
         return self.interpolant(t)
 
 
+def _sample_at_nodes(what: str, where: str, names: tuple, func, *args) -> np.ndarray:
+    """`_sample(func, *args)` on a grid whose first axis runs over the nodes.
+
+    Failure path only: func is called point by point in row-major order, as
+    `_sample` calls a scalar-only function, and the first failing point is
+    named by its node and its leading coordinates `names`, with its exception
+    as the cause. When every point succeeds alone, the cause is the
+    sampling's own exception.
+    """
+    try:
+        return _sample(func, *args)
+    except Exception as exc:
+        grid = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+        rows = zip(*(a.reshape(len(a), -1).tolist() for a in grid))
+        for node, row in enumerate(rows):
+            for point in zip(*row):
+                try:
+                    float(_real(func(*point)))
+                except Exception as point_exc:
+                    at = ", ".join(f"{name} = {value!r}" for name, value in zip(names, point))
+                    raise NumericalError(
+                        f"{what} evaluation failed at node {node} ({at})"
+                    ) from point_exc
+        raise NumericalError(f"{what} evaluation failed on the {where}") from exc
+
+
 class _Assembly:
     """The data of one (problem, spec, N) system: collocation nodes,
-    barycentric weights, the (N+1)-point quadrature rule, and on the grid of
+    barycentric weights, the (N+1)-point quadrature rule, on the grid of
     rows i (nodes t_i) by columns k (quadrature points rho_i(eta_k)) the
-    points, their z images and the transformed kernel values. The node set
-    comes from `approximation._node_set`, so N > MAX_N raises ValueError
-    before any rule is built."""
+    points, their z images and the transformed kernel values, and the source
+    values `rhs` at the nodes. The node set comes from
+    `approximation._node_set`, so N > MAX_N raises ValueError before any rule
+    is built. The kernel is read before the source, so a problem whose kernel
+    and source both fail reports the kernel."""
 
     def __init__(self, problem: ProblemDefinition, spec: BackwardSpec, n: int):
-        self.problem = problem
         self.n = n
         rho, theta = spec.rho, problem.theta
 
@@ -119,28 +163,19 @@ class _Assembly:
         log_q = np.log1p(-qrule.nodes) / rho         # log(1 - s(eta_k))
         self.quad_t = 1.0 - self.w_nodes[:, None] * np.exp(log_q)
         self.quad_z = self.nodes_z[:, None] + np.outer(1.0 - self.nodes_z, qrule.nodes)
-        try:
-            kernel = _sample(problem.kernel, self.nodes_t[:, None], self.quad_t)
-        except Exception as exc:
-            # Failure path only: name the first point at which the kernel
-            # fails, called as `_sample` calls a scalar-only kernel.
-            for i, (t, row) in enumerate(zip(self.nodes_t.tolist(), self.quad_t.tolist())):
-                for r in row:
-                    try:
-                        float(_real(problem.kernel(t, r)))
-                    except Exception as point_exc:
-                        raise NumericalError(
-                            f"kernel evaluation failed at node {i} (t = {t!r}, rho = {r!r})"
-                        ) from point_exc
-            raise NumericalError("kernel evaluation failed on the quadrature grid") from exc
+        kernel = _sample_at_nodes("kernel", "quadrature grid", ("t", "rho"),
+                                  problem.kernel, self.nodes_t[:, None], self.quad_t)
         ratio = -np.expm1(log_q) / qrule.nodes       # s(eta_k) / eta_k
         self.kbar = ((self.w_nodes ** (1.0 - theta) / rho)[:, None]
                      * ratio ** (-theta) * kernel)
+        self.rhs = _sample_at_nodes("source", "node array", ("t",),
+                                    problem.source_at, self.nodes_t, self.w_nodes)
 
 
 def _assemble_from(ctx: _Assembly):
     """Collocation matrix (identity minus the discrete operator on the
-    cardinal basis) and right-hand side (source values at the nodes).
+    cardinal basis) and right-hand side (`ctx.rhs`, the source values at the
+    nodes); the problem itself is not read here.
 
     Row i weighs the cardinal functions at its quadrature points z_ik, the
     barycentric quotients (b_j / (z_ik - z_j)) / sum_l b_l / (z_ik - z_l).
@@ -164,19 +199,7 @@ def _assemble_from(ctx: _Assembly):
             else:
                 mat[i] -= weights @ cardinal_matrix(ctx.nodes_z, ctx.bary,
                                                     ctx.quad_z[i])
-    try:
-        rhs = ctx.problem.source_at(ctx.nodes_t, ctx.w_nodes)
-    except Exception as exc:
-        # Failure path only: name the first node at which the source fails.
-        for i, (t, w) in enumerate(zip(ctx.nodes_t, ctx.w_nodes)):
-            try:
-                ctx.problem.source_at(t, w)
-            except Exception as node_exc:
-                raise NumericalError(
-                    f"source evaluation failed at node {i} (t = {float(t)!r})"
-                ) from node_exc
-        raise NumericalError("source evaluation failed on the node array") from exc
-    return mat, rhs
+    return mat, ctx.rhs
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:

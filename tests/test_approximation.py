@@ -76,6 +76,10 @@ class TestProject:
         exp2 = project(s, 8, lambda t: eval_expansion(exp, t))
         assert np.max(np.abs(exp.coeffs - exp2.coeffs)) <= 1e-12
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+            project(spec_of(-0.25, -0.25, 0.5), -1, np.cos)
+
     def test_residual_orthogonality(self):
         # projection residual is orthogonal to every retained basis function
         s = spec_of(-0.25, -0.25, 0.5)
@@ -113,6 +117,11 @@ class TestEvalExpansion:
         ts = rng.uniform(0, 1, 25)
         direct = sum(coeffs[r] * fb_eval(s, r, ts) for r in range(9))
         assert np.max(np.abs(eval_expansion(exp, ts) - direct)) <= 1e-13
+
+    def test_no_coefficients_rejected(self):
+        exp = Expansion(spec_of(-0.25, -0.25, 0.5), [])
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+            eval_expansion(exp, 0.5)
 
     def test_array_shape_preserved(self):
         rng = np.random.default_rng(12)
@@ -412,6 +421,15 @@ class TestLebesgue:
         assert lebesgue_constant(spec_of(-0.5, -0.5, 1.0), 0, 101) == 1.0
         with pytest.raises(ValueError, match="rule size must be >= 1"):
             lebesgue_constant(spec_of(-0.5, -0.5, 1.0), -1, 101)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_checked_before_the_node_set(self, samples, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("node set built for an empty grid")
+
+        monkeypatch.setattr(approximation, "_node_set", no_nodes)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            lebesgue_constant(spec_of(-0.5, -0.5, 1.0), 4, samples)
 
     def test_log_growth_for_clustered_weight(self):
         ns = [4, 8, 16, 32]

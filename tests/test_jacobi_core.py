@@ -112,6 +112,11 @@ class TestJacobiTable:
         for r in range(n + 1):
             assert np.array_equal(table[r], jacobi_eval(p, r, z))
 
+    def test_negative_degree_rejected(self):
+        # was a bare IndexError from filling row 0 of an empty table
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+            jacobi_table(JacobiParams(0, 0), -1, np.linspace(0.0, 1.0, 5))
+
 
 class TestJacobiNorm:
     def test_known_values(self):

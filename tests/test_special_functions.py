@@ -152,6 +152,14 @@ class TestMittagLeffler:
         with pytest.raises(OverflowError):
             mittag_leffler(0.1, 50.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_non_finite_argument_is_refused(self, sigma, z):
+        # a NaN z summed 500 NaN terms and raised OverflowError, which reads
+        # like an infinite value
+        with pytest.raises(ValueError, match="requires a finite z"):
+            mittag_leffler(sigma, z)
+
     @pytest.mark.parametrize("sigma, z, message", [
         # e^705 = 1.5e306 needs about 930 terms; the first 500 sum to 2.4e290
         (1.0, 705.0, "has not converged in 500 terms"),

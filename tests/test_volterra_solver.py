@@ -299,6 +299,30 @@ class TestAssemble:
             assemble(prob, spec_of(-0.25, -0.25, 0.5), 8)
         assert str(info.value.__cause__) == "array boom"
 
+    def test_source_read_with_the_grid_before_the_row_pass(self):
+        def source(t):
+            raise RuntimeError("source boom")
+
+        prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source=source)
+        with pytest.raises(NumericalError, match="source evaluation failed at node 0") as info:
+            _Assembly(prob, spec_of(-0.25, -0.25, 0.5), 8)
+        assert str(info.value.__cause__) == "source boom"
+
+    def test_kernel_failure_reported_before_source_failure(self):
+        def kernel(t, r):
+            if np.ndim(t) or t > 0.8:
+                raise RuntimeError("kernel boom")
+            return 1.0
+
+        def source(t):
+            raise RuntimeError("source boom")
+
+        # the kernel passes its nine construction probes (t = 0, 0.3, 0.8)
+        prob = ProblemDefinition(theta=0.5, kernel=kernel, source=source)
+        with pytest.raises(NumericalError, match="kernel evaluation failed at node") as info:
+            solve(prob, spec_of(-0.25, -0.25, 0.5), 8)
+        assert str(info.value.__cause__) == "kernel boom"
+
     @staticmethod
     def _complex_between_probes(t, r):
         # real at ProblemDefinition's nine probes (t = 0, 0.3, 0.8), complex

@@ -9,7 +9,10 @@ converge configuration and `selftest --quick --seed 0` twice more and digests
 the second run, under the same name plus `-warm`: in a tree that stores its
 Gauss rules, that run reads every rule from the store, so equal digests for an
 entry and its `-warm` twin, and for `-warm` entries of two checkouts, show
-that stored rules change no output. For each it prints
+that stored rules change no output. Last come five custom-problem runs whose
+kernel or source fails (named `fail-*`: four exit 3, and the converge run
+writes its failed rows and exits 0), so the failure paths are byte-checked
+too. For each it prints
 
     name sha256[:16]
 
@@ -64,6 +67,22 @@ def corpus(workloads):
     theta, rho = workloads.CONVERGE_CONFIGS[0]
     runs += [(name + "-warm", cold[name])
              for name in (f"bench-converge-{theta:.4g}-{rho:.4g}", "selftest-quick-0")]
+    custom_flags = ["--problem", "custom", "--eval-points", "11"]
+    runs += [(name, [command, *custom_flags, *args]) for name, command, args in (
+        ("fail-kernel-grid", "solve",
+         ["--n", "16", "--kernel-expr", "math.sqrt(0.97-p) if 0.95<p<0.99 else 1.0",
+          "--source-expr", "1.0"]),
+        ("fail-source-sqrt", "solve",
+         ["--n", "8", "--kernel-expr", "1.0", "--source-expr", "math.sqrt(t-0.5)"]),
+        ("fail-source-inf", "solve",
+         ["--n", "8", "--kernel-expr", "1.0", "--source-expr", "1 / (math.inf / (t - t))"]),
+        ("fail-converge-rows", "converge",
+         ["--n-min", "4", "--n-max", "8", "--kernel-expr", "1.0",
+          "--source-expr", "math.log(0.3-t) if t<0.6 else 1.0", "--exact-expr", "1.0"]),
+        ("fail-matrix-nan", "solve",
+         ["--n", "8", "--kernel-expr", "math.nan if 0.9<p<0.95 else 1.0",
+          "--source-expr", "1.0"]),
+    )]
     return runs
 
 
