@@ -48,7 +48,9 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 
 def _node_set(spec: BackwardSpec, n: int):
     """(nodes_z, nodes_t, barycentric weights) of the N+1 mapped Gauss nodes;
-    raises ValueError for N > MAX_N before any rule is built."""
+    raises ValueError for N < 0 or N > MAX_N before any rule is built."""
+    if n < 0:
+        raise ValueError(f"N must be nonnegative, got {n}")
     if n > MAX_N:
         raise ValueError(f"N = {n} exceeds MAX_N = {MAX_N}")
     nodes_z = gauss_rule(spec.params, n + 1).nodes
@@ -83,19 +85,20 @@ def _real(vals):
 def _sample(func, *args) -> np.ndarray:
     """func evaluated pointwise on the broadcast of its arguments.
 
-    One array call when func accepts arrays and returns either the broadcast
-    shape or a scalar (a constant, which is broadcast); otherwise, or when the
-    array call raises TypeError or ValueError (a scalar-only function) or
-    returns complex values, one scalar call per point. A complex value there
-    raises TypeError; any other exception propagates.
+    The one rule for reading a problem function: a single array call, whose
+    result is used when the call returns real, finite values of the broadcast
+    shape or a scalar (a constant, which is broadcast). In every other case,
+    whatever the array call raised, one scalar call per point, in ravel order,
+    on Python floats. There a complex value raises TypeError and any other
+    exception propagates; a non-finite value is returned as it is.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     shape = args[0].shape
     try:
         vals = np.asarray(_real(func(*args)), dtype=float)
-        if vals.shape in (shape, ()):
+        if vals.shape in (shape, ()) and np.isfinite(vals).all():
             return np.broadcast_to(vals, shape).copy()
-    except (TypeError, ValueError):
+    except Exception:
         pass
     points = zip(*(a.ravel().tolist() for a in args))
     return np.array([float(_real(func(*p))) for p in points], dtype=float).reshape(shape)

@@ -91,6 +91,16 @@ def _csv(header: str, columns) -> str:
     return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
+def _describe(exc: BaseException) -> str:
+    """`Type: message` of exc, then `; caused by Type: message` for each
+    exception in its `__cause__` chain."""
+    parts = []
+    while exc is not None:
+        parts.append(f"{type(exc).__name__}: {exc}")
+        exc = exc.__cause__
+    return "; caused by ".join(parts)
+
+
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise UsageError(message)
@@ -139,14 +149,6 @@ def _untrapped_inf(node, names) -> bool:
             or (isinstance(node, ast.Attribute) and node.attr in ("inf", "nan")))
 
 
-def _finite(x):
-    """x, if every value is finite; else ValueError. (A complex x, as
-    Python's (-8) ** 0.5 gives, is refused by `_sample`.)"""
-    if not np.isfinite(x).all():
-        raise ValueError("not finite")
-    return x
-
-
 def _lambda(body, names, namespace):
     """The expression `body` compiled once, as a lambda of `names`."""
     params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
@@ -160,9 +162,10 @@ def _expr_function(expr: str, names):
     for scalar arguments; raises UsageError if it does not parse or leaves the
     grammar. If it has an array form, array arguments run the same tree against
     `_ARRAY_MATH`, where numpy traps each step at which Python raises on
-    finite values (1/0, log(0), exp(1000)). A trap, or a value not finite,
-    raises ValueError; `_sample` refuses a complex value. Either way `_sample`
-    evaluates the scalar form point by point, so any error is its own."""
+    finite values (1/0, log(0), exp(1000)) with FloatingPointError. On a
+    trap, or any other exception, or a complex or non-finite result,
+    `_sample` evaluates the scalar form point by point, so any error is the
+    scalar form's own."""
     try:
         tree = ast.parse(expr, "<expr>", "eval")
     except SyntaxError as exc:
@@ -177,11 +180,8 @@ def _expr_function(expr: str, names):
     def func(*a):
         if not any(np.ndim(x) for x in a):
             return scalar(*a)
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                return _finite(array_f(*(np.asarray(x, dtype=float) for x in a)))
-        except (ArithmeticError, TypeError, ValueError) as exc:  # 1 // 0, 10**400 * t
-            raise ValueError(f"{expr!r} needs point-by-point evaluation") from exc
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return array_f(*(np.asarray(x, dtype=float) for x in a))
 
     return func
 
@@ -281,7 +281,7 @@ def cmd_converge(args) -> int:
             if not (math.isfinite(e_inf) and math.isfinite(e_l2w)):
                 raise ValueError(f"non-finite error norms (linf {e_inf}, l2w {e_l2w})")
         except Exception as exc:
-            print(f"warning: N={n} failed: {exc}", file=sys.stderr)
+            print(f"warning: N={n} failed: {_describe(exc)}", file=sys.stderr)
             continue
         diag = sol.diagnostics
         linf[i], l2w[i], cond[i] = e_inf, e_l2w, diag.condition
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # anything once numerical work has started
-        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: numerical failure: {_describe(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -38,7 +38,11 @@ class ProblemDefinition:
     w = 1 - t. A problem may give only the w-form of g or u; the missing
     t-form is then derived as t -> f(1 - t). `source_at` reads the w-form
     when there is one, because near the terminal endpoint w is known far more
-    accurately than t.
+    accurately than t. Construction reads the kernel once, through
+    `approximation._sample`, on the 3x3 grid of probes (t, rho) with
+    t in (0, 0.3, 0.8) and rho in (t, (t + 1)/2, 1): an exception from its
+    scalar calls propagates, and the first probe whose value is not finite
+    raises ValueError.
     """
 
     theta: float
@@ -57,13 +61,11 @@ class ProblemDefinition:
             object.__setattr__(self, "source", _in_t(self.source_w))
         if self.exact is None and self.exact_w is not None:
             object.__setattr__(self, "exact", _in_t(self.exact_w))
-        for t in (0.0, 0.3, 0.8):
-            for rho_ in (t, 0.5 * (t + 1.0), 1.0):
-                val = float(_real(self.kernel(t, rho_)))
-                if not math.isfinite(val):
-                    raise ValueError(
-                        f"kernel not finite at (t, rho) = ({t}, {rho_}): {val}"
-                    )
+        probes = [(t, rho_) for t in (0.0, 0.3, 0.8) for rho_ in (t, 0.5 * (t + 1.0), 1.0)]
+        vals = _sample(self.kernel, *np.array(probes).T.reshape(2, 3, 3))
+        for (t, rho_), val in zip(probes, vals.ravel().tolist()):
+            if not math.isfinite(val):
+                raise ValueError(f"kernel not finite at (t, rho) = ({t}, {rho_}): {val}")
 
     def source_at(self, t, w):
         """Source values at t (scalars or arrays, with w = 1 - t), read from
@@ -116,10 +118,11 @@ class CollocationSolution:
 def _sample_at_nodes(what: str, where: str, names: tuple, func, *args) -> np.ndarray:
     """`_sample(func, *args)` on a grid whose first axis runs over the nodes.
 
-    Failure path only: func is called point by point in row-major order, as
-    `_sample` calls a scalar-only function, and the first failing point is
-    named by its node and its leading coordinates `names`, with its exception
-    as the cause. When every point succeeds alone, the cause is the
+    `_sample` raises only when one of its scalar calls does. Then func is
+    called point by point again, in the same order, and the first failing
+    point is named by its node and its leading coordinates `names`, with its
+    exception as the cause. Every point can succeed on this second pass only
+    when func's answers change between calls; the cause is then the
     sampling's own exception.
     """
     try:

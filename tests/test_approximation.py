@@ -197,6 +197,17 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="exceeds MAX_N = 1200"):
             lebesgue_constant(s, MAX_N + 1, 11)
 
+    def test_negative_n_refused_before_any_rule(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("gauss_rule called for N < 0")
+
+        monkeypatch.setattr(approximation, "gauss_rule", no_rule)
+        s = spec_of(-0.5, -0.5, 1.0)
+        with pytest.raises(ValueError, match="^N must be nonnegative, got -1$"):
+            interpolate(s, -1, np.cos)
+        with pytest.raises(ValueError, match="^N must be nonnegative, got -1$"):
+            lebesgue_constant(s, -1, 101)
+
     def test_degree_600_weights_are_finite(self):
         # the product of N node gaps underflowed to 0 from N ~ 520 on
         s = spec_of(-0.5, -0.5, 0.5)
@@ -358,16 +369,39 @@ def test_sample_matches_pointwise_loop(func, args, vectorises):
         assert len(calls) == (1 if vectorises else 1 + ref.size)
 
 
-def test_sample_propagates_other_errors_from_array_call():
+def test_sample_reads_pointwise_after_any_array_error():
+    # any exception from the array call means one scalar call per point;
+    # an exception from a scalar call propagates
     calls = []
 
-    def failing(t):
-        calls.append(t)
-        raise RuntimeError("array evaluation failed")
+    def array_fails(t):
+        calls.append(np.ndim(t))
+        if np.ndim(t):
+            raise RuntimeError("array evaluation failed")
+        return math.exp(t)
 
-    with pytest.raises(RuntimeError, match="array evaluation failed"):
-        _sample(failing, T_GRID)
-    assert len(calls) == 1
+    got = _sample(array_fails, T_GRID)
+    assert got.tolist() == [math.exp(t) for t in T_GRID.tolist()]
+    assert calls == [1] + [0] * T_GRID.size
+
+    def always_fails(t):
+        raise RuntimeError("scalar evaluation failed")
+
+    with pytest.raises(RuntimeError, match="scalar evaluation failed"):
+        _sample(always_fails, T_GRID)
+
+
+def test_sample_rereads_non_finite_array_values_pointwise():
+    calls = []
+
+    def with_nan(t):
+        calls.append(np.ndim(t))
+        return np.where(np.asarray(t) > 0.5, np.nan, np.exp(t))
+
+    got = _sample(with_nan, T_GRID)
+    assert calls == [1] + [0] * T_GRID.size
+    assert np.array_equal(got, with_nan(T_GRID), equal_nan=True)
+    assert np.isnan(got).sum() == np.sum(T_GRID > 0.5) > 0
 
 
 class TestErrorNorms:
@@ -419,7 +453,7 @@ class TestLebesgue:
 
     def test_single_node_is_exactly_one(self):
         assert lebesgue_constant(spec_of(-0.5, -0.5, 1.0), 0, 101) == 1.0
-        with pytest.raises(ValueError, match="rule size must be >= 1"):
+        with pytest.raises(ValueError, match="N must be nonnegative, got -1"):
             lebesgue_constant(spec_of(-0.5, -0.5, 1.0), -1, 101)
 
     @pytest.mark.parametrize("samples", [0, -3])

@@ -484,6 +484,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    def test_numerical_failure_names_its_cause(self, tmp_path, capsys):
+        # a domain error and a division by zero at the same node used to
+        # print the same line
+        lines = []
+        for source in ("math.sqrt(t-0.5)", UNTRAPPED[0]):
+            argv = CUSTOM + ["--kernel-expr", "1.0", "--source-expr", source]
+            assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 3
+            lines.append(capsys.readouterr().err)
+        prefix = "error: numerical failure: NumericalError: source evaluation failed at node 0"
+        assert all(line.startswith(prefix) for line in lines)
+        assert lines[0].endswith("; caused by ValueError: math domain error\n")
+        assert lines[1].endswith("; caused by ZeroDivisionError: float division by zero\n")
+
+    def test_failed_converge_row_names_its_cause(self, tmp_path, capsys):
+        argv = ["converge", "--problem", "custom", "--n-min", "4", "--n-max", "4",
+                "--eval-points", "11", "--kernel-expr", "1.0", "--source-expr", "1.0/(t-t)",
+                "--exact-expr", "1.0", "--out", str(tmp_path / "c.csv")]
+        assert run(argv) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: N=4 failed: NumericalError: source evaluation failed")
+        assert err.endswith("; caused by ZeroDivisionError: float division by zero\n")
+
 
 def _numeric_flag_rows():
     """Every float flag at nan, inf and -inf, every int flag at -1 and
@@ -658,7 +680,8 @@ def _counting(f, log, name):
 
 
 def test_custom_solve_samples_kernel_and_source_once(tmp_path, monkeypatch):
-    # nine scalar kernel probes at construction, then one array call each
+    # one array call for the nine kernel probes at construction, then one
+    # array call each (the source and the exact solution share one expression)
     log = []
     compile_expr = cli._expr_function
     monkeypatch.setattr(cli, "_expr_function",
@@ -668,7 +691,7 @@ def test_custom_solve_samples_kernel_and_source_once(tmp_path, monkeypatch):
                  "--exact-expr", "(1-t)**1.5", "--out", str(tmp_path / "sol.csv")])
     assert code == 0
     kernel = [is_array for name, is_array in log if name == "math.exp(-t)*(1+p)"]
-    assert kernel == [False] * 9 + [True]
+    assert kernel == [True, True]
     assert [is_array for name, is_array in log if name == "(1-t)**1.5"] == [True, True]
 
 

@@ -87,6 +87,25 @@ class TestProblemDefinition:
                 source=lambda t: 0.0,
             )
 
+    def test_array_kernel_probes_take_one_array_call(self):
+        shapes = []
+
+        def kernel(t, p):
+            shapes.append(np.broadcast_shapes(np.shape(t), np.shape(p)))
+            return np.exp(t) * p
+
+        ProblemDefinition(theta=0.5, kernel=kernel, source=lambda t: 0.0)
+        assert shapes == [(3, 3)]
+
+    @pytest.mark.parametrize("kernel", [
+        lambda t, p: math.inf if p == 1.0 else 1.0,
+        lambda t, p: np.where(np.asarray(p) == 1.0, np.inf, 1.0),
+    ], ids=["scalar", "array"])
+    def test_first_non_finite_probe_is_named(self, kernel):
+        with pytest.raises(ValueError) as info:
+            ProblemDefinition(theta=0.5, kernel=kernel, source=lambda t: 0.0)
+        assert str(info.value) == "kernel not finite at (t, rho) = (0.0, 1.0): inf"
+
     def test_source_w_preferred(self):
         prob = ProblemDefinition(
             theta=0.5,
@@ -287,17 +306,39 @@ class TestAssemble:
             assert "np.float64" not in message
 
     def test_source_failing_only_on_the_array(self):
-        # every node succeeds alone, so no node can be named
+        # read point by point, it solves bit for bit as its plain form
         def source(t):
             if np.ndim(t):
                 raise RuntimeError("array boom")
             return 1.0
 
-        prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source=source)
+        spec = spec_of(-0.25, -0.25, 0.5)
+        got = solve(ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, source=source),
+                    spec, 8)
+        ref = solve(ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0,
+                                      source=lambda t: 1.0), spec, 8)
+        assert np.array_equal(got.values, ref.values)
+        assert got.diagnostics.condition == ref.diagnostics.condition
+
+    def test_source_failing_only_on_its_first_scalar_call(self):
+        # answers that change between calls: `_sample`'s scalar pass fails,
+        # the scan's does not, so no node can be named
+        calls = []
+
+        def source(t):
+            calls.append(t)
+            if np.ndim(t):
+                raise RuntimeError("array boom")
+            if len(calls) == 2:
+                raise RuntimeError("first scalar boom")
+            return 1.0
+
+        nodes = fb_nodes(spec_of(-0.25, -0.25, 0.5), 8)
         with pytest.raises(NumericalError,
                            match="source evaluation failed on the node array") as info:
-            assemble(prob, spec_of(-0.25, -0.25, 0.5), 8)
-        assert str(info.value.__cause__) == "array boom"
+            volterra_solver._sample_at_nodes("source", "node array", ("t",), source, nodes)
+        assert str(info.value.__cause__) == "first scalar boom"
+        assert len(calls) == 2 + nodes.size
 
     def test_source_read_with_the_grid_before_the_row_pass(self):
         def source(t):
@@ -353,17 +394,18 @@ class TestAssemble:
         assert isinstance(info.value.__cause__, cause)
 
     def test_kernel_failing_only_on_the_grid_array(self):
-        # every point succeeds alone, so no point can be named
+        # read point by point, it solves bit for bit as its plain form
         def kernel(t, r):
             if np.ndim(t):
                 raise RuntimeError("array boom")
             return 1.0
 
-        prob = ProblemDefinition(theta=0.5, kernel=kernel, source=lambda t: 1.0)
-        with pytest.raises(NumericalError,
-                           match="kernel evaluation failed on the quadrature grid") as info:
-            solve(prob, spec_of(-0.25, -0.25, 0.5), 8)
-        assert str(info.value.__cause__) == "array boom"
+        spec = spec_of(-0.25, -0.25, 0.5)
+        got = solve(ProblemDefinition(theta=0.5, kernel=kernel, source=lambda t: 1.0), spec, 8)
+        ref = solve(ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0,
+                                      source=lambda t: 1.0), spec, 8)
+        assert np.array_equal(got.values, ref.values)
+        assert got.diagnostics.condition == ref.diagnostics.condition
 
     def test_complex_source_and_kernel_are_refused(self):
         # numpy's cast would solve for the real part of sqrt(t - 1/2) instead;
@@ -525,6 +567,15 @@ class TestSolve:
         monkeypatch.setattr(approximation, "gauss_rule", no_rule)
         with pytest.raises(ValueError, match="exceeds MAX_N = 1200"):
             solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), MAX_N + 1)
+
+    def test_negative_n_refused_before_any_rule(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("gauss_rule called for N < 0")
+
+        monkeypatch.setattr(volterra_solver, "gauss_rule", no_rule)
+        monkeypatch.setattr(approximation, "gauss_rule", no_rule)
+        with pytest.raises(ValueError, match="^N must be nonnegative, got -1$"):
+            solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), -1)
 
     def test_case1_at_degree_1100(self):
         # 25 barycentric weights came out 0 here, and linf was 3.6e-5 with cond 79

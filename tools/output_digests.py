@@ -9,10 +9,11 @@ converge configuration and `selftest --quick --seed 0` twice more and digests
 the second run, under the same name plus `-warm`: in a tree that stores its
 Gauss rules, that run reads every rule from the store, so equal digests for an
 entry and its `-warm` twin, and for `-warm` entries of two checkouts, show
-that stored rules change no output. Last come five custom-problem runs whose
-kernel or source fails (named `fail-*`: four exit 3, and the converge run
-writes its failed rows and exits 0), so the failure paths are byte-checked
-too. For each it prints
+that stored rules change no output. Last come nine custom-problem runs whose
+kernel, source or exact solution fails or is not finite: the eight `fail-*`
+runs (seven exit 3; `fail-converge-rows` writes its failed rows and exits 0)
+and `nan-exact-converge` (exits 0 with two empty rows), so the failure paths
+are byte-checked too. For each it prints
 
     name sha256[:16]
 
@@ -82,6 +83,16 @@ def corpus(workloads):
         ("fail-matrix-nan", "solve",
          ["--n", "8", "--kernel-expr", "math.nan if 0.9<p<0.95 else 1.0",
           "--source-expr", "1.0"]),
+        ("fail-kernel-probe", "solve",
+         ["--n", "8", "--kernel-expr", "math.log(t-0.5)", "--source-expr", "1.0"]),
+        ("fail-exact-hidden-zero", "solve",
+         ["--n", "8", "--kernel-expr", "1.0", "--source-expr", "1.0",
+          "--exact-expr", "math.exp(-1/(1-t))"]),
+        ("fail-kernel-inf-probe", "solve",
+         ["--n", "8", "--kernel-expr", "math.inf if p == 1 else 1.0", "--source-expr", "1.0"]),
+        ("nan-exact-converge", "converge",
+         ["--n-min", "4", "--n-max", "8", "--kernel-expr", "1.0", "--source-expr", "1.0",
+          "--exact-expr", "math.nan"]),
     )]
     return runs
 
