@@ -7,14 +7,17 @@ the basis, so the discrete operator is a plain Gauss sum. The same map makes
 the quadrature points of row i affine in z, z_i + (1 - z_i) eta_k. Assembly
 works with these z-points and the exact distances 1 - t, which stay
 meaningful even where t itself rounds to 1. The kernel is sampled once on the
-grid of (node, quadrature point) pairs, then the source once at the nodes,
-both through one helper that turns a failure into a NumericalError naming the
-first failing point. Each row then takes one pass: the reciprocal gaps
-between its quadrature points and the nodes fill one reused buffer, and two
-matrix-vector products give the barycentric denominators and the row. A row
-with a point exactly on a node (an infinite reciprocal) is built through
-`approximation.cardinal_matrix` instead. The dense system is solved and its
-1-norm condition number computed with LAPACK through numpy.
+grid of (node, quadrature point) pairs, then the source (its w-form when
+there is one) once at the nodes, both through one helper that turns a
+failure into a NumericalError naming the first failing point. Each row then
+takes one pass: one rank-2 matrix product, whose factors
+(`approximation._gap_factors`) are built once per system, writes the gaps
+between its quadrature points and the nodes into one reused buffer, their
+reciprocals replace them, and two matrix-vector products give the
+barycentric denominators and the row. A row with a point exactly on a node
+(an infinite reciprocal) is built through `approximation.cardinal_matrix`
+instead. The dense system is solved and its 1-norm condition number
+computed with LAPACK through numpy.
 """
 
 import math
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximation import Interpolant, _node_set, _real, _sample, cardinal_matrix
+from .approximation import (Interpolant, _gap_factors, _node_set, _real, _sample,
+                            cardinal_matrix)
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams, NumericalError, gauss_rule
 
@@ -36,10 +40,10 @@ class ProblemDefinition:
     `kernel` is K(t, rho) on the triangle t <= rho <= 1 and `source` is g(t).
     `source_w`/`exact_w`, when given, are the same functions expressed in
     w = 1 - t. A problem may give only the w-form of g or u; the missing
-    t-form is then derived as t -> f(1 - t). `source_at` reads the w-form
-    when there is one, because near the terminal endpoint w is known far more
-    accurately than t. Construction reads the kernel once, through
-    `approximation._sample`, on the 3x3 grid of probes (t, rho) with
+    t-form is then derived as t -> f(1 - t). `source_at` and the solver read
+    the w-form when there is one, because near the terminal endpoint w is
+    known far more accurately than t. Construction reads the kernel once,
+    through `approximation._sample`, on the 3x3 grid of probes (t, rho) with
     t in (0, 0.3, 0.8) and rho in (t, (t + 1)/2, 1): an exception from its
     scalar calls propagates, and the first probe whose value is not finite
     raises ValueError.
@@ -70,9 +74,12 @@ class ProblemDefinition:
     def source_at(self, t, w):
         """Source values at t (scalars or arrays, with w = 1 - t), read from
         the w-form when there is one; a numpy float64 for scalar input."""
-        if self.source_w is not None:
-            return _sample(self.source_w, w)[()]
-        return _sample(self.source, t)[()]
+        return _sample(self._source_tw, t, w)[()]
+
+    def _source_tw(self, t, w):
+        """One call of the source at t and w = 1 - t: of `source_w` at w when
+        there is one, else of `source` at t."""
+        return self.source(t) if self.source_w is None else self.source_w(w)
 
 
 def _in_t(f_w):
@@ -150,7 +157,9 @@ class _Assembly:
     values `rhs` at the nodes. The node set comes from
     `approximation._node_set`, so N > MAX_N raises ValueError before any rule
     is built. The kernel is read before the source, so a problem whose kernel
-    and source both fail reports the kernel."""
+    and source both fail reports the kernel. The source is read in one pass
+    of `ProblemDefinition._source_tw` (its w-form when there is one), and a
+    failure names the node by its t."""
 
     def __init__(self, problem: ProblemDefinition, spec: BackwardSpec, n: int):
         self.n = n
@@ -172,7 +181,7 @@ class _Assembly:
         self.kbar = ((self.w_nodes ** (1.0 - theta) / rho)[:, None]
                      * ratio ** (-theta) * kernel)
         self.rhs = _sample_at_nodes("source", "node array", ("t",),
-                                    problem.source_at, self.nodes_t, self.w_nodes)
+                                    problem._source_tw, self.nodes_t, self.w_nodes)
 
 
 def _assemble_from(ctx: _Assembly):
@@ -184,6 +193,9 @@ def _assemble_from(ctx: _Assembly):
     barycentric quotients (b_j / (z_ik - z_j)) / sum_l b_l / (z_ik - z_l).
     One reused buffer R holds the reciprocal gaps 1 / (z_ik - z_j), so a row
     is two matrix-vector products: s = R b, then ((chi kbar_i / s) R) * b.
+    The gaps are one rank-2 matrix product per row, whose factors
+    (`approximation._gap_factors`) are built once for all rows: bit for bit
+    the subtraction z_ik - z_j, at a fraction of its cost.
     An exact zero gap makes s non-finite; only such a row is taken through
     `cardinal_matrix`, which gives a point on a node that node's exact
     cardinal values.
@@ -191,10 +203,11 @@ def _assemble_from(ctx: _Assembly):
     n = ctx.n
     mat = np.eye(n + 1)
     recip = np.empty((n + 1, n + 1))
+    pairs, right = _gap_factors(ctx.quad_z, ctx.nodes_z)
     with np.errstate(all="ignore"):  # a non-finite s is handled below
         for i in range(n + 1):
             weights = ctx.chi * ctx.kbar[i]
-            np.subtract(ctx.quad_z[i][:, None], ctx.nodes_z, out=recip)
+            np.matmul(pairs[i], right, out=recip)
             np.reciprocal(recip, out=recip)
             s = recip @ ctx.bary
             if np.isfinite(s).all():

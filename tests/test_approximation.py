@@ -11,6 +11,7 @@ from fbjacobi.approximation import (
     MAX_N,
     Expansion,
     Interpolant,
+    _gap_factors,
     _node_set,
     _sample,
     barycentric_weights,
@@ -402,6 +403,57 @@ def test_sample_rereads_non_finite_array_values_pointwise():
     assert calls == [1] + [0] * T_GRID.size
     assert np.array_equal(got, with_nan(T_GRID), equal_nan=True)
     assert np.isnan(got).sum() == np.sum(T_GRID > 0.5) > 0
+
+
+class TestGapFactors:
+    """The rank-2 product of `_gap_factors` is the broadcast subtraction,
+    bit for bit."""
+
+    @staticmethod
+    def gaps(x, z):
+        return np.matmul(*_gap_factors(x, z))
+
+    @pytest.mark.parametrize("m, n", [(7, 5), (385, 385), (2001, 65)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-310, 1e300])
+    def test_random_inputs(self, m, n, scale):
+        rng = np.random.default_rng(m + n)
+        x = scale * rng.uniform(-1.0, 1.0, m)
+        z = scale * rng.uniform(-1.0, 1.0, n)
+        z[: min(m, n) // 2] = np.nextafter(x[: min(m, n) // 2], 2.0)  # one-ulp gaps
+        assert np.array_equal(self.gaps(x, z), x[:, None] - z)
+
+    def test_exact_hits_give_positive_zero_and_infinite_reciprocal(self):
+        nodes, _, _ = _node_set(spec_of(-0.5, -0.5, 0.5), 16)
+        gaps = self.gaps(nodes, nodes)
+        assert np.array_equal(gaps, nodes[:, None] - nodes)
+        hits = np.diagonal(gaps)
+        assert np.all(hits == 0.0) and not np.signbit(hits).any()
+        with np.errstate(divide="ignore"):
+            assert np.all(np.diagonal(np.reciprocal(gaps)) == np.inf)
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1)])
+    def test_empty_and_single_point_arrays(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        x, z = rng.uniform(size=m), rng.uniform(size=n)
+        got = self.gaps(x, z)
+        assert got.shape == (m, n) and np.array_equal(got, x[:, None] - z)
+
+    def test_non_finite_points(self):
+        # BLAS may flag an invalid operation for an infinite x (cardinal_matrix
+        # ignores it), but every gap is the subtraction's
+        x = np.array([np.inf, -np.inf, np.nan, 0.5])
+        z = np.linspace(0.1, 0.9, 5)
+        with np.errstate(invalid="ignore"):
+            gaps = self.gaps(x, z)
+        assert np.array_equal(gaps, x[:, None] - z, equal_nan=True)
+
+    def test_stacked_rows_as_in_the_row_pass(self):
+        rng = np.random.default_rng(3)
+        x, z = rng.uniform(size=(6, 9)), rng.uniform(size=9)
+        left, right = _gap_factors(x, z)
+        assert left.shape == (6, 9, 2) and right.shape == (2, 9)
+        for i in range(6):
+            assert np.array_equal(left[i] @ right, x[i][:, None] - z)
 
 
 class TestErrorNorms:

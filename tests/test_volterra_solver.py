@@ -64,6 +64,22 @@ def cardinal_reference(ctx):
     return mat
 
 
+def subtraction_rows(ctx):
+    """`_assemble_from`'s row pass with the gaps formed by the broadcast
+    subtraction."""
+    mat = np.eye(ctx.n + 1)
+    with np.errstate(all="ignore"):
+        for i in range(ctx.n + 1):
+            weights = ctx.chi * ctx.kbar[i]
+            recip = 1.0 / (ctx.quad_z[i][:, None] - ctx.nodes_z)
+            s = recip @ ctx.bary
+            if np.isfinite(s).all():
+                mat[i] -= ((weights / s) @ recip) * ctx.bary
+            else:
+                mat[i] -= weights @ cardinal_matrix(ctx.nodes_z, ctx.bary, ctx.quad_z[i])
+    return mat
+
+
 def assert_rows_close(mat, ref):
     """Each row within 4 eps of that row's largest entry."""
     row_err = np.max(np.abs(mat - ref), axis=1)
@@ -340,6 +356,27 @@ class TestAssemble:
         assert str(info.value.__cause__) == "first scalar boom"
         assert len(calls) == 2 + nodes.size
 
+    @pytest.mark.parametrize("form", ["source", "source_w"])
+    def test_failing_source_read_once_at_its_node(self, form):
+        # one array call, then node 0 once in `_sample`'s scalar pass and once
+        # in the scan; the failure names the node by its t in either form
+        calls = []
+
+        def g(x):
+            calls.append(np.ndim(x))
+            if np.ndim(x):
+                raise RuntimeError("array boom")
+            return math.sqrt(x - 0.5 if form == "source" else 0.5 - x)
+
+        spec, n = spec_of(-0.25, -0.25, 0.5), 8
+        prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 1.0, **{form: g})
+        with pytest.raises(NumericalError) as info:
+            _Assembly(prob, spec, n)
+        t0 = float(fb_nodes(spec, n)[0])
+        assert str(info.value) == f"source evaluation failed at node 0 (t = {t0!r})"
+        assert str(info.value.__cause__) == "math domain error"
+        assert calls == [1, 0, 0]
+
     def test_source_read_with_the_grid_before_the_row_pass(self):
         def source(t):
             raise RuntimeError("source boom")
@@ -438,6 +475,14 @@ class TestAssemble:
             mat, _ = _assemble_from(ctx)
         assert np.all(np.isfinite(mat[i]))
         assert_rows_close(mat, cardinal_reference(ctx))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 64])
+    @pytest.mark.parametrize("hit", [False, True])
+    def test_rows_equal_the_subtraction_row_pass(self, n, hit):
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), n)
+        if hit:  # a quadrature point exactly on a node, as in the fallback test
+            ctx.quad_z[n // 2, n // 3] = ctx.nodes_z[n]
+        assert np.array_equal(_assemble_from(ctx)[0], subtraction_rows(ctx))
 
     def test_hit_free_system_never_takes_the_fallback(self, monkeypatch):
         def no_fallback(*args):

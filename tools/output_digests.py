@@ -3,8 +3,9 @@
 Runs `fbjacobi.cli.main` in-process, each invocation in a fresh temporary
 directory, over the README `solve` and `converge` commands, the benchmark's
 converge configurations and custom-expression seeds 0-5 (argv read from
-`bench/workloads.py`), case2 `solve` and `converge --svg`, `selftest --quick`
-at seeds 0-3 and the full selftest. Then it runs the first benchmark
+`bench/workloads.py`), case2 `solve` and `converge --svg`, a case1 `solve` at
+N = 384 (the benchmark's large-n size), `selftest --quick` at seeds 0-3 and
+the full selftest. Then it runs the first benchmark
 converge configuration and `selftest --quick --seed 0` twice more and digests
 the second run, under the same name plus `-warm`: in a tree that stores its
 Gauss rules, that run reads every rule from the store, so equal digests for an
@@ -60,6 +61,7 @@ def corpus(workloads):
         ("case2-solve", ["solve", "--problem", "case2", "--n", "16", "--out", "case2.csv"]),
         ("case2-converge", ["converge", "--problem", "case2", "--n-min", "4", "--n-max", "16",
                             "--n-step", "4", "--out", "case2.csv", "--svg", "case2.svg"]),
+        ("case1-solve-384", ["solve", "--problem", "case1", "--n", "384", "--out", "case1.csv"]),
     ]
     runs += [(f"selftest-quick-{seed}", ["selftest", "--quick", "--seed", str(seed)])
              for seed in range(4)]
