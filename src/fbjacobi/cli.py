@@ -23,8 +23,6 @@ from .approximation import (MAX_CARDINAL_ENTRIES, MAX_N, _sample, eval_grid, lin
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams
 from .problems import case_i, case_ii, example1, regularity_index
-from .selfcheck import run_all
-from .svgplot import render_semilog
 from .volterra_solver import ProblemDefinition, _require_finite, solve
 
 EXIT_OK = 0
@@ -290,6 +288,7 @@ def cmd_converge(args) -> int:
     _write_text(args.out, _csv("N,linf_error,l2w_error,cond,assembly_ms,solve_ms",
                                [ns, *columns]))
     if args.svg is not None:
+        from .svgplot import render_semilog
         title = (f"{args.problem}: theta={args.theta:g}, rho={args.rho:g}, "
                  f"mu={args.mu:g}, upsilon={args.upsilon:g}")
         try:
@@ -300,6 +299,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selfcheck import run_all  # the battery, and numpy.random, load only here
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     results = run_all(seed=args.seed, quick=args.quick)
     width = max(len(r.name) for r in results)

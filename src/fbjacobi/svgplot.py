@@ -6,7 +6,6 @@ self-contained and byte-stable.
 """
 
 import math
-from xml.sax.saxutils import escape
 
 _WIDTH, _HEIGHT = 640, 440
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 24, 42, 52
@@ -17,12 +16,17 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape without its imports (urllib, http, ssl, email)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _text(x, y, body, size: int, anchor="middle", extra="") -> str:
     """One sans-serif <text> element; `anchor` None leaves out text-anchor,
     and `extra` holds further attributes."""
     anchor = "" if anchor is None else f' text-anchor="{anchor}"'
     return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
-            f'font-size="{size}"{extra}>{escape(str(body))}</text>')
+            f'font-size="{size}"{extra}>{_escape(str(body))}</text>')
 
 
 def _line(x1, y1, x2, y2, stroke: str, width) -> str:

@@ -4,17 +4,21 @@ import importlib
 import inspect
 import math
 import operator
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import types
 import warnings
 import xml.etree.ElementTree as ET
+import xml.sax.saxutils
 
 import numpy as np
 import pytest
 
-from fbjacobi import approximation, cli, selfcheck
+from fbjacobi import approximation, cli, selfcheck, svgplot
 from fbjacobi.approximation import _sample
 from fbjacobi.cli import _csv, _expr_function, main
 from fbjacobi.selfcheck import run_all
@@ -714,6 +718,53 @@ class TestSvgPlot:
         (marker,) = root.iter(svg + "circle")
         assert float(marker.get("cx")) == 72.0
         assert float(marker.get("cy")) == 388.0
+
+    @pytest.mark.parametrize("text", ["a & b", "<tag>", "x > y", "&amp; &lt;", "'single'",
+                                      '"double"', "θ → 1, naïve ü €", "", "a<b & c>d"])
+    def test_escape_matches_saxutils(self, text):
+        assert svgplot._escape(text) == xml.sax.saxutils.escape(text)
+
+    def test_title_and_label_are_escaped(self):
+        text = render_semilog([4, 8], [("a<b & c>d", [1e-3, 1e-5])], "a<b & c>d")
+        assert text.count(">a&lt;b &amp; c&gt;d</text>") == 2
+        texts = [t.text for t in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count("a<b & c>d") == 2
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+class TestColdStart:
+    """Fresh interpreters: the in-process tests import `selfcheck` and
+    `svgplot` at collection, so only a new process sees what a command loads."""
+
+    def test_import_loads_no_command_only_modules(self):
+        script = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
+                  "import fbjacobi, fbjacobi.cli\nprint(*sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(SRC)], capture_output=True,
+                              text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert {"fbjacobi.cli", "numpy"} <= loaded
+        assert loaded.isdisjoint({"xml.sax", "urllib.request", "http.client", "ssl", "email",
+                                  "numpy.random", "fbjacobi.selfcheck", "fbjacobi.svgplot"})
+
+    @staticmethod
+    def run_cold(*argv):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "fbjacobi.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+
+    def test_selftest(self):
+        proc = self.run_cold("selftest", "--quick", "--seed", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^all \d+ checks passed$", proc.stdout, re.M)
+
+    def test_converge_svg(self, tmp_path):
+        svg = tmp_path / "r.svg"
+        proc = self.run_cold("converge", "--n-min", "4", "--n-max", "8", "--eval-points", "11",
+                        "--out", str(tmp_path / "r.csv"), "--svg", str(svg))
+        assert proc.returncode == 0, proc.stderr
+        assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_readme_cli_commands(tmp_path):
