@@ -111,8 +111,11 @@ def _sample(func, *args) -> np.ndarray:
     result is used when the call returns real, finite values of the broadcast
     shape or a scalar (a constant, which is broadcast). In every other case,
     whatever the array call raised, one scalar call per point, in ravel order,
-    on Python floats. There a complex value raises TypeError and any other
-    exception propagates; a non-finite value is returned as it is.
+    on Python floats. There a result of type exactly `float` is taken as it
+    is (`float` would return that same object), a complex value raises
+    TypeError and any other exception propagates; a non-finite value is
+    returned as it is. Of func's calls, only a scalar one can make `_sample`
+    raise.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     shape = args[0].shape
@@ -123,7 +126,8 @@ def _sample(func, *args) -> np.ndarray:
     except Exception:
         pass
     points = zip(*(a.ravel().tolist() for a in args))
-    return np.array([float(_real(func(*p))) for p in points], dtype=float).reshape(shape)
+    return np.array([v if type(v := func(*p)) is float else float(_real(v))
+                     for p in points], dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True)

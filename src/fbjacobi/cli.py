@@ -261,10 +261,11 @@ def cmd_converge(args) -> int:
     problem, spec = _setup(args, args.n_max, [args.out, args.svg])
     l2_spec = BackwardSpec(JacobiParams(l2_mu, l2_up), args.rho)
     if args.problem in ("case1", "case2"):
+        # the singular endpoint t = 1 is z = 1, where (1-z)^mu z^upsilon has the exponent mu
         gamma = regularity_index(args.gamma1, args.gamma2)
-        index = 2.0 * gamma / args.rho + args.upsilon + 1.0
-        print(f"info: singular exponent {gamma:g}; transformed regularity index "
-              f"2*gamma/rho+upsilon+1 = {index:g} (expected algebraic rate driver)",
+        rate = 2.0 * gamma / args.rho
+        print(f"info: singular exponent {gamma:g}; predicted rates: linf 2*gamma/rho = {rate:g},",
+              f"l2w 2*gamma/rho+mu+1 = {rate + l2_mu + 1.0:g} (mu of the l2 weight)",
               file=sys.stderr)
 
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))

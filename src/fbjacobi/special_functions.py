@@ -18,9 +18,12 @@ _MITTAG_LEFFLER_MAX_TERMS = 500
 
 
 def beta(a: float, b: float) -> float:
-    """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
+    """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b); raises
+    ValueError for an argument that is not positive or is infinite."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta requires positive arguments, got ({a}, {b})")
+    if max(a, b) == math.inf:
+        raise ValueError(f"beta requires finite arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
@@ -66,13 +69,14 @@ def mittag_leffler(sigma: float, z: float) -> float:
     term exceeds 1e4 times the sum's magnitude (over four digits cancelled).
     Raises OverflowError when a term or the sum leaves the representable
     range, or when the series has not converged within 500 terms (large z),
-    so a truncated partial sum is never returned. Raises ValueError for a z
-    that is NaN or infinite, before any term is built.
+    so a truncated partial sum is never returned. Raises ValueError for a
+    sigma or z that is NaN or infinite, before any term is built.
     """
     if not sigma > 0.0:
         raise ValueError(f"mittag_leffler requires sigma > 0, got {sigma}")
-    if not math.isfinite(z):
-        raise ValueError(f"mittag_leffler requires a finite z, got {z}")
+    for name, x in (("sigma", sigma), ("z", z)):
+        if not math.isfinite(x):
+            raise ValueError(f"mittag_leffler requires a finite {name}, got {x}")
     if z == 0.0:
         return 1.0
     int_sigma = int(round(sigma)) if sigma == round(sigma) and sigma <= 64 else 0

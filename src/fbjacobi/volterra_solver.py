@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximation import (Interpolant, _gap_factors, _node_set, _real, _sample,
-                            cardinal_matrix)
+from .approximation import Interpolant, _gap_factors, _node_set, _sample, cardinal_matrix
 from .backward_basis import BackwardSpec
 from .jacobi_core import JacobiParams, NumericalError, gauss_rule
 
@@ -122,31 +121,29 @@ class CollocationSolution:
         return self.interpolant(t)
 
 
-def _sample_at_nodes(what: str, where: str, names: tuple, func, *args) -> np.ndarray:
+def _sample_at_nodes(what: str, names: tuple, func, *args) -> np.ndarray:
     """`_sample(func, *args)` on a grid whose first axis runs over the nodes.
 
-    `_sample` raises only when one of its scalar calls does. Then func is
-    called point by point again, in the same order, and the first failing
-    point is named by its node and its leading coordinates `names`, with its
-    exception as the cause. Every point can succeed on this second pass only
-    when func's answers change between calls; the cause is then the
-    sampling's own exception.
+    One pass, and no point is read twice. func is called through a recorder
+    of its last point and its number of calls. `_sample` raises only from a
+    scalar call, and those follow its one array call in ravel order, so the
+    failing point is the recorded one and its node is (calls - 2) // (points
+    per node). It is named by that node and its leading coordinates `names`,
+    with the exception as the cause.
     """
+    calls, point = 0, ()
+
+    def recorded(*at):
+        nonlocal calls, point
+        calls, point = calls + 1, at
+        return func(*at)
+
     try:
-        return _sample(func, *args)
+        return _sample(recorded, *args)
     except Exception as exc:
-        grid = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-        rows = zip(*(a.reshape(len(a), -1).tolist() for a in grid))
-        for node, row in enumerate(rows):
-            for point in zip(*row):
-                try:
-                    float(_real(func(*point)))
-                except Exception as point_exc:
-                    at = ", ".join(f"{name} = {value!r}" for name, value in zip(names, point))
-                    raise NumericalError(
-                        f"{what} evaluation failed at node {node} ({at})"
-                    ) from point_exc
-        raise NumericalError(f"{what} evaluation failed on the {where}") from exc
+        node = (calls - 2) // math.prod(np.broadcast_shapes(*map(np.shape, args))[1:])
+        at = ", ".join(f"{name} = {value!r}" for name, value in zip(names, point))
+        raise NumericalError(f"{what} evaluation failed at node {node} ({at})") from exc
 
 
 class _Assembly:
@@ -175,13 +172,13 @@ class _Assembly:
         log_q = np.log1p(-qrule.nodes) / rho         # log(1 - s(eta_k))
         self.quad_t = 1.0 - self.w_nodes[:, None] * np.exp(log_q)
         self.quad_z = self.nodes_z[:, None] + np.outer(1.0 - self.nodes_z, qrule.nodes)
-        kernel = _sample_at_nodes("kernel", "quadrature grid", ("t", "rho"),
-                                  problem.kernel, self.nodes_t[:, None], self.quad_t)
+        kernel = _sample_at_nodes("kernel", ("t", "rho"), problem.kernel,
+                                  self.nodes_t[:, None], self.quad_t)
         ratio = -np.expm1(log_q) / qrule.nodes       # s(eta_k) / eta_k
         self.kbar = ((self.w_nodes ** (1.0 - theta) / rho)[:, None]
                      * ratio ** (-theta) * kernel)
-        self.rhs = _sample_at_nodes("source", "node array", ("t",),
-                                    problem._source_tw, self.nodes_t, self.w_nodes)
+        self.rhs = _sample_at_nodes("source", ("t",), problem._source_tw,
+                                    self.nodes_t, self.w_nodes)
 
 
 def _assemble_from(ctx: _Assembly):

@@ -392,6 +392,27 @@ def test_sample_reads_pointwise_after_any_array_error():
         _sample(always_fails, T_GRID)
 
 
+def test_sample_takes_a_float_result_as_returned(monkeypatch):
+    # a scalar result of type exactly float skips the conversion; a numpy
+    # scalar still takes it, so a complex one is refused
+    def scalar_only(kind):
+        def func(t):
+            if np.ndim(t):
+                raise RuntimeError("array boom")
+            return kind(math.exp(t))
+        return func
+
+    with pytest.raises(TypeError, match="complex value"):
+        _sample(scalar_only(np.complex128), T_GRID)
+    converted = []
+    monkeypatch.setattr(approximation, "_real", lambda v: converted.append(v) or v)
+    got = _sample(scalar_only(float), T_GRID)
+    assert converted == []
+    assert got.tolist() == [math.exp(t) for t in T_GRID.tolist()]
+    assert np.array_equal(_sample(scalar_only(np.float64), T_GRID), got)
+    assert converted == [np.float64(math.exp(t)) for t in T_GRID.tolist()]
+
+
 def test_sample_rereads_non_finite_array_values_pointwise():
     calls = []
 

@@ -172,6 +172,21 @@ class TestConvergeCommand:
         assert "http://www.w3.org/2000/svg" in tree.getroot().tag
         assert "href" not in text and "url(" not in text
 
+    @pytest.mark.parametrize("l2_weight, l2w_rate",
+                             [([], "6.5"), (["--l2-weight=0.25,0"], "6.25")])
+    def test_info_line_predicts_each_column_from_its_weight(self, l2_weight, l2w_rate,
+                                                            tmp_path, capsys):
+        # mu != upsilon: the singular endpoint t = 1 is z = 1, where the l2
+        # weight's exponent is its mu; the solver's upsilon plays no part
+        code = run(["converge", "--problem", "case1", "--gamma1", "1.25", "--gamma2", "2.5",
+                    "--rho", "0.5", "--mu", "0.5", "--upsilon", "-0.5", *l2_weight,
+                    "--n-min", "4", "--n-max", "4", "--eval-points", "11",
+                    "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "info: singular exponent 1.25; predicted rates: linf 2*gamma/rho = 5, "
+            f"l2w 2*gamma/rho+mu+1 = {l2w_rate} (mu of the l2 weight)\n")
+
     def test_unwritable_svg_refused_before_the_sweep(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "solve", no_solve)
         out, svg = tmp_path / "b.csv", tmp_path / "missing" / "b.svg"

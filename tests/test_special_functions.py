@@ -35,6 +35,13 @@ class TestBeta:
         with pytest.raises(ValueError, match="beta requires positive arguments"):
             beta(0.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_argument_is_refused(self, a, b):
+        # lgamma(inf) - lgamma(inf) gave a silent nan
+        with pytest.raises(ValueError) as info:
+            beta(a, b)
+        assert str(info.value) == f"beta requires finite arguments, got ({a}, {b})"
+
 
 class TestBesselJ:
     def test_at_origin(self):
@@ -159,6 +166,12 @@ class TestMittagLeffler:
         # like an infinite value
         with pytest.raises(ValueError, match="requires a finite z"):
             mittag_leffler(sigma, z)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0])
+    def test_infinite_sigma_is_refused(self, z):
+        # round(inf) raised OverflowError, as if the series had overflowed
+        with pytest.raises(ValueError, match="mittag_leffler requires a finite sigma, got inf"):
+            mittag_leffler(math.inf, z)
 
     @pytest.mark.parametrize("sigma, z, message", [
         # e^705 = 1.5e306 needs about 930 terms; the first 500 sum to 2.4e290

@@ -337,8 +337,8 @@ class TestAssemble:
         assert got.diagnostics.condition == ref.diagnostics.condition
 
     def test_source_failing_only_on_its_first_scalar_call(self):
-        # answers that change between calls: `_sample`'s scalar pass fails,
-        # the scan's does not, so no node can be named
+        # answers that change between calls: the one pass names the point
+        # where its scalar call failed, node 0, after two calls
         calls = []
 
         def source(t):
@@ -350,16 +350,16 @@ class TestAssemble:
             return 1.0
 
         nodes = fb_nodes(spec_of(-0.25, -0.25, 0.5), 8)
-        with pytest.raises(NumericalError,
-                           match="source evaluation failed on the node array") as info:
-            volterra_solver._sample_at_nodes("source", "node array", ("t",), source, nodes)
+        with pytest.raises(NumericalError) as info:
+            volterra_solver._sample_at_nodes("source", ("t",), source, nodes)
+        assert str(info.value) == f"source evaluation failed at node 0 (t = {float(nodes[0])!r})"
         assert str(info.value.__cause__) == "first scalar boom"
-        assert len(calls) == 2 + nodes.size
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("form", ["source", "source_w"])
     def test_failing_source_read_once_at_its_node(self, form):
-        # one array call, then node 0 once in `_sample`'s scalar pass and once
-        # in the scan; the failure names the node by its t in either form
+        # one array call, then node 0 once in `_sample`'s scalar pass; the
+        # failure names the node by its t in either form
         calls = []
 
         def g(x):
@@ -375,7 +375,30 @@ class TestAssemble:
         t0 = float(fb_nodes(spec, n)[0])
         assert str(info.value) == f"source evaluation failed at node 0 (t = {t0!r})"
         assert str(info.value.__cause__) == "math domain error"
-        assert calls == [1, 0, 0]
+        assert calls == [1, 0]
+
+    @pytest.mark.parametrize("node, k", [(6, 0), (6, 9), (16, 16)])
+    def test_kernel_failing_at_a_middle_node_is_called_once_per_point_up_to_it(self, node, k):
+        # one array call, then one scalar call per point up to and including
+        # the failing one, at flat index j = node * (n + 1) + k
+        spec, n = spec_of(-0.25, -0.25, 0.5), 16
+        grid = _Assembly(unit_problem(0.5), spec, n)
+        bad = (float(grid.nodes_t[node]), float(grid.quad_t[node, k]))
+        calls = []
+
+        def kernel(t, r):
+            calls.append(np.ndim(t))
+            if np.ndim(t) or (t, r) == bad:
+                raise RuntimeError("kernel boom")
+            return 1.0
+
+        with pytest.raises(NumericalError) as info:
+            volterra_solver._sample_at_nodes("kernel", ("t", "rho"), kernel,
+                                             grid.nodes_t[:, None], grid.quad_t)
+        assert str(info.value) == (
+            f"kernel evaluation failed at node {node} (t = {bad[0]!r}, rho = {bad[1]!r})")
+        assert str(info.value.__cause__) == "kernel boom"
+        assert len(calls) == 1 + (node * (n + 1) + k + 1)
 
     def test_source_read_with_the_grid_before_the_row_pass(self):
         def source(t):

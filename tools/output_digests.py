@@ -10,11 +10,13 @@ converge configuration and `selftest --quick --seed 0` twice more and digests
 the second run, under the same name plus `-warm`: in a tree that stores its
 Gauss rules, that run reads every rule from the store, so equal digests for an
 entry and its `-warm` twin, and for `-warm` entries of two checkouts, show
-that stored rules change no output. Last come nine custom-problem runs whose
-kernel, source or exact solution fails or is not finite: the eight `fail-*`
-runs (seven exit 3; `fail-converge-rows` writes its failed rows and exits 0)
+that stored rules change no output. Last come eleven custom-problem runs whose
+kernel, source or exact solution fails or is not finite: the ten `fail-*`
+runs (nine exit 3; `fail-converge-rows` writes its failed rows and exits 0)
 and `nan-exact-converge` (exits 0 with two empty rows), so the failure paths
-are byte-checked too. For each it prints
+are byte-checked too. `fail-kernel-middle` and `fail-kernel-complex` pass the
+kernel probes and fail at node 6 of 16, one by raising, one with a complex
+value. For each it prints
 
     name sha256[:16]
 
@@ -92,6 +94,12 @@ def corpus(workloads):
           "--exact-expr", "math.exp(-1/(1-t))"]),
         ("fail-kernel-inf-probe", "solve",
          ["--n", "8", "--kernel-expr", "math.inf if p == 1 else 1.0", "--source-expr", "1.0"]),
+        ("fail-kernel-middle", "solve",
+         ["--n", "16", "--kernel-expr", "math.log(-1) if 0.45 < t < 0.6 and p < 0.7 else 1.0",
+          "--source-expr", "1.0"]),
+        ("fail-kernel-complex", "solve",
+         ["--n", "16", "--kernel-expr", "(0.5 - t) ** 0.5 if 0.45 < t < 0.6 else 1.0",
+          "--source-expr", "1.0"]),
         ("nan-exact-converge", "converge",
          ["--n-min", "4", "--n-max", "8", "--kernel-expr", "1.0", "--source-expr", "1.0",
           "--exact-expr", "math.nan"]),
