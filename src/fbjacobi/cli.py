@@ -147,37 +147,32 @@ def _untrapped_inf(node, names) -> bool:
             or (isinstance(node, ast.Attribute) and node.attr in ("inf", "nan")))
 
 
-def _lambda(body, names, namespace):
-    """The expression `body` compiled once, as a lambda of `names`."""
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
-    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
-    return eval(compile(lam, "<expr>", "eval"), namespace)
-
-
 def _expr_function(expr: str, names):
-    """Compile a custom expression in `names` to a function returning float
-    for scalar arguments; raises UsageError if it does not parse or leaves the
-    grammar. If it has an array form, array arguments run the same tree against
-    `_ARRAY_MATH`, where numpy traps each step at which Python raises on
-    finite values (1/0, log(0), exp(1000)) with FloatingPointError. On a
-    trap, or any other exception, or a complex or non-finite result,
-    `_sample` evaluates the scalar form point by point, so any error is the
-    scalar form's own."""
+    """Compile a custom expression in `names` to a function of them; raises
+    UsageError if it does not parse or leaves the grammar. The tree is
+    compiled once, as a lambda bound to `math`, and, if it has an array form,
+    bound again to `_ARRAY_MATH`, where numpy traps each step at which Python
+    raises on finite values (1/0, log(0), exp(1000)) with FloatingPointError.
+    Array arguments run the array form; otherwise each argument goes through
+    float(), which refuses an array, to the scalar form. Values are returned
+    unconverted: on a trap, or any other exception, or a complex or non-finite
+    result, `_sample` evaluates the scalar form point by point and makes each
+    value a float, so any error is the scalar form's or `_sample`'s own."""
     try:
         tree = ast.parse(expr, "<expr>", "eval")
     except SyntaxError as exc:
         raise UsageError(f"invalid expression {expr!r}: {exc.msg}") from exc
     has_array_form = _check_expr(tree, names)
-    f = _lambda(tree.body, names, {"__builtins__": {}, "math": math})
-    scalar = lambda *a: float(f(*(float(x) for x in a)))
-    if not has_array_form:
-        return scalar
-    array_f = _lambda(tree.body, names, {"__builtins__": {}, "math": _ARRAY_MATH})
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
+    code = compile(lam, "<expr>", "eval")
+    scalar = eval(code, {"__builtins__": {}, "math": math})
+    array_f = has_array_form and eval(code, {"__builtins__": {}, "math": _ARRAY_MATH})
 
     def func(*a):
-        if not any(np.ndim(x) for x in a):
-            return scalar(*a)
+        if not array_f or not any(np.ndim(x) for x in a):
+            return scalar(*map(float, a))
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return array_f(*(np.asarray(x, dtype=float) for x in a))
 

@@ -28,8 +28,9 @@ def beta(a: float, b: float) -> float:
 
 
 def bessel_j(nu: float, x):
-    """Bessel function of the first kind J_nu(x), nu > -1, x >= 0; x may be
-    a scalar (a numpy float64 is returned) or an array (an array of its shape).
+    """Bessel function of the first kind J_nu(x), nu > -1, finite x >= 0; x
+    may be a scalar (a numpy float64 is returned) or an array (an array of its
+    shape).
 
     Ascending series (x/2)^nu * sum_i (-(x/2)^2)^i / (i! Gamma(nu+i+1)). Each
     element stops once its next term falls below 1e-16 of its partial sum.
@@ -40,6 +41,8 @@ def bessel_j(nu: float, x):
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
         raise ValueError(f"bessel_j requires x >= 0, got {x}")
+    if not np.all(x < math.inf):  # the series would sum inf - inf to nan
+        raise ValueError(f"bessel_j requires finite x, got {x}")
     # At x = 0 the series is its leading term: 1 for nu = 0, else (x/2)^nu.
     at_zero = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
     live = np.flatnonzero(x)  # the flat indices still summing

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from fbjacobi import approximation, cli, selfcheck, svgplot
-from fbjacobi.approximation import _sample
+from fbjacobi.approximation import _real, _sample
 from fbjacobi.cli import _csv, _expr_function, main
 from fbjacobi.selfcheck import run_all
 from fbjacobi.svgplot import render_semilog
@@ -516,6 +516,17 @@ class TestExitCodes:
         assert lines[0].endswith("; caused by ValueError: math domain error\n")
         assert lines[1].endswith("; caused by ZeroDivisionError: float division by zero\n")
 
+    def test_complex_kernel_names_the_library_rule(self, capsys):
+        # the expression's value reaches `_sample` unconverted, so its
+        # complex refusal, not a float() in the CLI, names the cause
+        argv = ["solve", "--problem", "custom", "--eval-points", "11", "--n", "16",
+                "--kernel-expr", "(0.5 - t) ** 0.5 if 0.45 < t < 0.6 else 1.0",
+                "--source-expr", "1.0"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "kernel evaluation failed at node 6 " in err
+        assert "complex value" in err and "where a real one is needed" in err
+
     def test_failed_converge_row_names_its_cause(self, tmp_path, capsys):
         argv = ["converge", "--problem", "custom", "--n-min", "4", "--n-max", "4",
                 "--eval-points", "11", "--kernel-expr", "1.0", "--source-expr", "1.0/(t-t)",
@@ -551,11 +562,12 @@ def test_numeric_flag_out_of_range_is_a_usage_error(argv, capsys):
 
 
 def _scalar_values(f, t, p):
-    """f point by point in ravel order: the values, or the first exception."""
+    """f point by point in ravel order, each value read as `_sample` reads
+    it: the values, or the first exception."""
     vals = []
     for a, b in zip(t.ravel().tolist(), p.ravel().tolist()):
         try:
-            vals.append(f(a, b))
+            vals.append(v if type(v := f(a, b)) is float else float(_real(v)))
         except Exception as exc:
             return exc
     return np.array(vals).reshape(t.shape)
@@ -600,6 +612,9 @@ AGREEMENT = [
     ("math.pow(t, p)", False), ("math.sinh(t)", False), ("math.hypot(t, p, 1)", False),
     ("t and p", False), ("t or p", False), ("not t", False), ("t if p > 0 else -t", False),
     ("0 < t < p", False), ("t == p", False), ("1.0 if math.log(t) > 0 else 2.0", False),
+    # numpy bools add as logical `or` (1 where Python gives 2): float() of an
+    # array keeps a scalar-only expression off arrays
+    ("(t > 0.5) + (p > 0.5)", False),
 ]
 
 
@@ -636,6 +651,13 @@ class TestExpressionArrayForm:
         with pytest.raises(ValueError, match="math domain error"):
             f(0.25)
         assert f(np.float64(1.5)) == math.log(1.0) and type(f(1.5)) is float
+
+    def test_scalar_only_form_refuses_arrays(self):
+        # read at nodes as a source is: math.fsum of the whole array would
+        # return a sum; each scalar point is not iterable
+        f = _expr_function("math.fsum(t)", ("t",))
+        with pytest.raises(TypeError, match="'float' object is not iterable"):
+            _sample(f, np.linspace(0.1, 0.9, 5))
 
     def test_log_with_base_leaves_the_callers_array_alone(self):
         # np.log's second positional argument is `out`

@@ -89,6 +89,10 @@ class TestBesselJ:
             bessel_j(0.5, np.array([0.5, -0.1]))
         with pytest.raises(ValueError, match="bessel_j requires x >= 0"):
             bessel_j(0.5, math.nan)
+        # x = inf passed `x >= 0` and summed inf - inf to a silent nan
+        for x in (math.inf, np.array([0.5, math.inf])):
+            with pytest.raises(ValueError, match="bessel_j requires finite x"):
+                bessel_j(0.5, x)
 
     @pytest.mark.parametrize("nu", [-0.4, -1.0 / 6.0, 0.0, 0.25, 1.5])
     def test_array_equals_scalar_series(self, nu):

@@ -1,20 +1,22 @@
 """Digests of a fixed corpus of CLI outputs, for byte-identity checks.
 
 Runs `fbjacobi.cli.main` in-process, each invocation in a fresh temporary
-directory, over the README `solve` and `converge` commands, the benchmark's
-converge configurations and custom-expression seeds 0-5 (argv read from
-`bench/workloads.py`), case2 `solve` and `converge --svg`, a case1 `solve` at
-N = 384 (the benchmark's large-n size), `selftest --quick` at seeds 0-3 and
-the full selftest. Then it runs the first benchmark
-converge configuration and `selftest --quick --seed 0` twice more and digests
-the second run, under the same name plus `-warm`: in a tree that stores its
-Gauss rules, that run reads every rule from the store, so equal digests for an
-entry and its `-warm` twin, and for `-warm` entries of two checkouts, show
-that stored rules change no output. Last come eleven custom-problem runs whose
-kernel, source or exact solution fails or is not finite: the ten `fail-*`
-runs (nine exit 3; `fail-converge-rows` writes its failed rows and exits 0)
-and `nan-exact-converge` (exits 0 with two empty rows), so the failure paths
-are byte-checked too. `fail-kernel-middle` and `fail-kernel-complex` pass the
+directory, over 37 entries: the README `solve` and `converge` commands, the
+benchmark's converge configurations and custom-expression seeds 0-5 (argv
+read from `bench/workloads.py`), `custom-piecewise` (a `solve` whose kernel,
+source and exact solution are scalar-only expressions, read point by point),
+case2 `solve` and `converge --svg`, a case1 `solve` at N = 384 (the
+benchmark's large-n size), `selftest --quick` at seeds 0-3 and the full
+selftest. Then it runs the first benchmark converge configuration and
+`selftest --quick --seed 0` twice more and digests the second run, under the
+same name plus `-warm`: in a tree that stores its Gauss rules, that run reads
+every rule from the store, so equal digests for an entry and its `-warm`
+twin, and for `-warm` entries of two checkouts, show that stored rules change
+no output. Last come eleven custom-problem runs whose kernel, source or exact
+solution fails or is not finite: the ten `fail-*` runs (nine exit 3;
+`fail-converge-rows` writes its failed rows and exits 0) and
+`nan-exact-converge` (exits 0 with two empty rows), so the failure paths are
+byte-checked too. `fail-kernel-middle` and `fail-kernel-complex` pass the
 kernel probes and fail at node 6 of 16, one by raising, one with a complex
 value. For each it prints
 
@@ -59,6 +61,11 @@ def corpus(workloads):
         custom = workloads.CustomExpr(seed, Path("."))
         custom.prepare(None)
         runs.append((f"custom-expr-{seed}", custom.argv))
+    runs.append(("custom-piecewise", [
+        "solve", "--problem", "custom", "--n", "32", "--eval-points", "101",
+        "--kernel-expr", "math.exp(t - p) if p < 0.9 else 1.0 + t * p",
+        "--source-expr", "1.0 if t < 0.5 else math.cos(t)",
+        "--exact-expr", "1.0 if t < 0.5 else math.cos(t)", "--out", "sol.csv"]))
     runs += [
         ("case2-solve", ["solve", "--problem", "case2", "--n", "16", "--out", "case2.csv"]),
         ("case2-converge", ["converge", "--problem", "case2", "--n-min", "4", "--n-max", "16",
