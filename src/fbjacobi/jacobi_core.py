@@ -85,14 +85,15 @@ def jacobi_table(params: JacobiParams, n: int, z) -> np.ndarray:
 
     Forward three-term recurrence in x = 2z - 1 from degrees 0 and 1; the
     degree runs along the first axis, so the result has shape (n+1,) + shape(z).
-    Raises ValueError for a negative n.
+    The coefficients come from `_recurrence_lists`, so each (params, n) builds
+    them once per process. Raises ValueError for a negative n.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     x = 2.0 * np.asarray(z, dtype=float) - 1.0
     table = np.empty((n + 1,) + x.shape)
     table[0] = 1.0
-    a, b, c = (v.tolist() for v in _recurrence_coeffs(params, n))
+    a, b, c = _recurrence_lists(params, n)
     if n >= 1:
         table[1] = a[0] * x + b[0]
     for k in range(1, n):
@@ -177,3 +178,17 @@ def _golub_welsch(params: JacobiParams, m: int) -> QuadratureRule:
     if abs(float(weights.sum()) - mass) > 1e-12 * mass:
         raise NumericalError(f"weight mass off for {params}, m={m}")
     return QuadratureRule(nodes, weights)
+
+
+@functools.lru_cache(maxsize=256)
+def _recurrence_lists(params: JacobiParams, n: int):
+    """`_recurrence_coeffs(params, n)` as three tuples of Python floats,
+    built once per (params, n) in a process for `jacobi_table`.
+
+    The tuples are immutable, so callers share them. Keys that compare equal
+    (0.0 and -0.0, 1 and 1.0) build bit-identical tables: a -0.0 exponent can
+    move only the sign of B_0, and since x = 2z - 1 is never -0.0, A_0 x + B_0
+    is the same float with either zero. One `selftest --quick` run makes 156
+    calls on 92 keys; 256 entries of degree MAX_N would hold about 30 MB.
+    """
+    return tuple(tuple(v.tolist()) for v in _recurrence_coeffs(params, n))

@@ -10,14 +10,16 @@ meaningful even where t itself rounds to 1. The kernel is sampled once on the
 grid of (node, quadrature point) pairs, then the source (its w-form when
 there is one) once at the nodes, both through one helper that turns a
 failure into a NumericalError naming the first failing point. Each row then
-takes one pass: one rank-2 matrix product, whose factors
+takes one pass, in blocks of rows with at most 2**17 gaps in all (one row
+per block from N = 256): one rank-2 matrix product per row, whose factors
 (`approximation._gap_factors`) are built once per system, writes the gaps
 between its quadrature points and the nodes into one reused buffer, their
 reciprocals replace them, and two matrix-vector products give the
-barycentric denominators and the row. A row with a point exactly on a node
-(an infinite reciprocal) is built through `approximation.cardinal_matrix`
-instead. The dense system is solved and its 1-norm condition number
-computed with LAPACK through numpy.
+barycentric denominators and the row. Small systems thus pay per block, not
+per row, for numpy's call overhead. A row with a point exactly on a node
+(an infinite reciprocal) is rebuilt through `approximation.cardinal_matrix`.
+The dense system is solved and its 1-norm condition number computed with
+LAPACK through numpy.
 """
 
 import math
@@ -188,30 +190,46 @@ def _assemble_from(ctx: _Assembly):
 
     Row i weighs the cardinal functions at its quadrature points z_ik, the
     barycentric quotients (b_j / (z_ik - z_j)) / sum_l b_l / (z_ik - z_l).
-    One reused buffer R holds the reciprocal gaps 1 / (z_ik - z_j), so a row
-    is two matrix-vector products: s = R b, then ((chi kbar_i / s) R) * b.
+    The rows are taken in blocks whose reciprocal gaps 1 / (z_ik - z_j),
+    held in one reused buffer R, fill at most 2**17 entries (1 MiB), or one
+    row where a row alone has more. A block costs about ten numpy calls
+    however many rows it holds: the stacked matrix-vector products s = R b,
+    then ((chi kbar_i / s) R) * b for each row. Each call runs the same BLAS
+    kernel on the same row as a one-row block would, so the rows are the
+    same floats whatever the block size. A row has (N+1)**2 gaps, more than
+    half the budget from N = 256, so from there a block is one row: at that
+    size the calls cost little beside the entries, and more rows per block
+    would only add memory (16-row blocks were slower at N = 384).
     The gaps are one rank-2 matrix product per row, whose factors
     (`approximation._gap_factors`) are built once for all rows: bit for bit
     the subtraction z_ik - z_j, at a fraction of its cost.
-    An exact zero gap makes s non-finite; only such a row is taken through
-    `cardinal_matrix`, which gives a point on a node that node's exact
-    cardinal values.
+    An exact zero gap makes s non-finite; only such a row is rebuilt, as its
+    identity row minus the weights times `cardinal_matrix`, which gives a
+    point on a node that node's exact cardinal values.
     """
     n = ctx.n
     mat = np.eye(n + 1)
-    recip = np.empty((n + 1, n + 1))
+    rows = min(n + 1, max(1, 2**17 // (n + 1) ** 2))
+    buf = np.empty((rows, n + 1, n + 1))
     pairs, right = _gap_factors(ctx.quad_z, ctx.nodes_z)
     with np.errstate(all="ignore"):  # a non-finite s is handled below
-        for i in range(n + 1):
-            weights = ctx.chi * ctx.kbar[i]
-            np.matmul(pairs[i], right, out=recip)
+        for i0 in range(0, n + 1, rows):
+            # A one-row block is indexed by its row number, so that its
+            # arrays keep numpy's fastest shapes, 1-D rows and 2-D matrices:
+            # stacked forms of one row ran 1-3% slower at N = 384.
+            block, recip = ((i0, buf[0]) if rows == 1
+                            else (slice(i0, i0 + rows), buf[:n + 1 - i0]))
+            np.matmul(pairs[block], right, out=recip)
             np.reciprocal(recip, out=recip)
             s = recip @ ctx.bary
-            if np.isfinite(s).all():
-                mat[i] -= ((weights / s) @ recip) * ctx.bary
-            else:
-                mat[i] -= weights @ cardinal_matrix(ctx.nodes_z, ctx.bary,
-                                                    ctx.quad_z[i])
+            weights = ctx.chi * ctx.kbar[block]
+            mat[block] -= ((weights / s)[..., None, :] @ recip)[..., 0, :] * ctx.bary
+            if not np.isfinite(s).all():
+                s, weights = s.reshape(-1, n + 1), weights.reshape(-1, n + 1)
+                for b in np.flatnonzero(~np.isfinite(s).all(axis=1)):
+                    i = i0 + b
+                    mat[i] = np.eye(1, n + 1, i)[0] - weights[b] @ cardinal_matrix(
+                        ctx.nodes_z, ctx.bary, ctx.quad_z[i])
     return mat, ctx.rhs
 
 

@@ -12,6 +12,7 @@ from fbjacobi.jacobi_core import (
     QuadratureRule,
     _golub_welsch,
     _recurrence_coeffs,
+    _recurrence_lists,
     gauss_rule,
     jacobi_eval,
     jacobi_norm,
@@ -378,6 +379,56 @@ class TestRuleCache:
         assert same_bits(first.values, second.values)
         assert (np.float64(first.diagnostics.condition).tobytes()
                 == np.float64(second.diagnostics.condition).tobytes())
+
+
+class TestRecurrenceMemo:
+    """`jacobi_table` reads its coefficients from `_recurrence_lists`, built
+    once per (params, n). The autouse fixture in conftest.py starts each test
+    with an empty memo."""
+
+    Z = np.array([0.0, 0.1, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("params, equal_params", [
+        (JacobiParams(-0.0, 0.0), JacobiParams(0.0, 0.0)),
+        (JacobiParams(0.0, 0.0), JacobiParams(-0.0, 0.0)),
+        (JacobiParams(1, 0), JacobiParams(1.0, 0.0)),
+        (JacobiParams(1.0, 0.0), JacobiParams(1, 0)),
+    ], ids=["minus-zero-first", "zero-first", "int-first", "float-first"])
+    def test_equal_keys_give_the_cold_table_bit_for_bit(self, params, equal_params):
+        cold = jacobi_table(equal_params, 9, self.Z)
+        _recurrence_lists.cache_clear()
+        stored = jacobi_table(params, 9, self.Z)
+        shared = jacobi_table(equal_params, 9, self.Z)
+        info = _recurrence_lists.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert same_bits(stored, cold) and same_bits(shared, cold)
+
+    def test_memoised_coefficients_are_tuples_of_the_recurrence(self):
+        params = JacobiParams(-0.5, 0.3)
+        coeffs = _recurrence_lists(params, 17)
+        assert isinstance(coeffs, tuple) and len(coeffs) == 3
+        for got, ref in zip(coeffs, _recurrence_coeffs(params, 17)):
+            assert isinstance(got, tuple) and all(type(v) is float for v in got)
+            assert same_bits(np.array(got), ref)
+        assert _recurrence_lists(params, 17) is coeffs
+        assert _recurrence_lists(params, 0) == ((), (), ())
+
+    def test_a_repeated_table_is_a_fresh_writable_array(self):
+        params = JacobiParams(-0.25, -0.25)
+        first = jacobi_table(params, 6, self.Z)
+        kept = first.copy()
+        first[:] = np.nan
+        second = jacobi_table(params, 6, self.Z)
+        assert _recurrence_lists.cache_info().hits == 1
+        assert second.flags.writeable and not np.shares_memory(first, second)
+        assert same_bits(second, kept)
+
+    def test_the_memo_is_bounded(self):
+        assert _recurrence_lists.cache_info().maxsize == 256
+        for n in range(300):
+            jacobi_table(JacobiParams(0.0, 0.0), n % 30, 0.5)
+            jacobi_table(JacobiParams(0.01 * n, 0.0), 2, 0.5)
+        assert _recurrence_lists.cache_info().currsize == 256
 
 
 def test_numerical_error_is_exported():

@@ -499,13 +499,49 @@ class TestAssemble:
         assert np.all(np.isfinite(mat[i]))
         assert_rows_close(mat, cardinal_reference(ctx))
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 64])
+    # Rows per block: 31 at N = 64 and 7 at N = 129, each with a partial last
+    # block (62-64 and 126-129); one at N = 256.
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 129, 256])
     @pytest.mark.parametrize("hit", [False, True])
     def test_rows_equal_the_subtraction_row_pass(self, n, hit):
         ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), n)
         if hit:  # a quadrature point exactly on a node, as in the fallback test
             ctx.quad_z[n // 2, n // 3] = ctx.nodes_z[n]
         assert np.array_equal(_assemble_from(ctx)[0], subtraction_rows(ctx))
+
+    @pytest.mark.parametrize("n, hit_rows", [
+        (64, (33,)),         # a middle row of the second 31-row block
+        (64, (63,)),         # the partial last block, rows 62-64
+        (129, (128,)),       # the partial last block, rows 126-129
+        (64, (31, 33, 61)),  # the first, a middle and the last row of one block
+        (64, (30, 31)),      # the last row of one block and the first of the next
+    ])
+    def test_node_hits_inside_blocks_rebuild_only_their_rows(self, n, hit_rows, monkeypatch):
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), n)
+        for i in hit_rows:
+            ctx.quad_z[i, i % 7] = ctx.nodes_z[(3 * i) % (n + 1)]
+        rebuilt = []
+
+        def recording(nodes, bary, zs):
+            rebuilt.append(next(i for i in range(n + 1) if np.array_equal(zs, ctx.quad_z[i])))
+            return cardinal_matrix(nodes, bary, zs)
+
+        monkeypatch.setattr(volterra_solver, "cardinal_matrix", recording)
+        mat = _assemble_from(ctx)[0]
+        assert rebuilt == list(hit_rows)
+        assert np.all(np.isfinite(mat))
+        monkeypatch.undo()
+        assert np.array_equal(mat, subtraction_rows(ctx))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_systems_assemble(self, n):
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), n)
+        mat, rhs = _assemble_from(ctx)
+        assert mat.shape == (n + 1, n + 1) and rhs is ctx.rhs
+        # within 4 eps of the identity's scale: 1 - chi kbar cancels at N = 0
+        assert np.max(np.abs(mat - cardinal_reference(ctx))) <= 4.0 * EPS
+        if n == 0:  # one node: its cardinal function is 1
+            assert abs(mat[0, 0] - (1.0 - ctx.chi @ ctx.kbar[0])) <= 4.0 * EPS
 
     def test_hit_free_system_never_takes_the_fallback(self, monkeypatch):
         def no_fallback(*args):
