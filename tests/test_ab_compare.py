@@ -13,16 +13,18 @@ CONFIG = {"end_to_end": [{"name": "op_p50_s", "better": "lower"},
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 
 
-def runs(parent, change, raw_parent=None, raw_change=None):
-    """bench_run-shaped records: op_p50_s scaled and raw, peak_rss_mib scaled."""
+def runs(parent, change, raw_parent=None, raw_change=None, failed_change=0):
+    """bench_run-shaped records of 100 ops each: op_p50_s scaled and raw,
+    peak_rss_mib scaled; the change's first run fails failed_change ops."""
     raw_parent = parent if raw_parent is None else raw_parent
     raw_change = change if raw_change is None else raw_change
 
-    def side(scaled, raw):
+    def side(scaled, raw, failed=0):
         return [{"scaled": {"op_p50_s": s, "peak_rss_mib": 40.0}, "raw": {"op_p50_s": r},
-                 "failed": 0} for s, r in zip(scaled, raw)]
+                 "failed": failed if i == 0 else 0, "attempted": 100}
+                for i, (s, r) in enumerate(zip(scaled, raw))]
 
-    return {"parent": side(parent, raw_parent), "change": side(change, raw_change)}
+    return {"parent": side(parent, raw_parent), "change": side(change, raw_change, failed_change)}
 
 
 def claims(capsys, records):
@@ -57,3 +59,11 @@ def test_a_shift_below_one_percent_is_not_claimed(capsys):
 def test_fewer_than_ten_pairs_claim_nothing(capsys):
     change = [0.8 * p for p in PARENT]
     assert claims(capsys, runs(PARENT[:9], change[:9]))["op_p50_s"] == "-"
+
+
+def test_a_gain_with_more_failed_ops_is_not_claimed(capsys):
+    change = [0.8 * p for p in PARENT]
+    assert claims(capsys, runs(PARENT, change, failed_change=1))["op_p50_s"] == "-"
+    # a loss stays a loss
+    change = [1.25 * p for p in PARENT]
+    assert claims(capsys, runs(PARENT, change, failed_change=1))["op_p50_s"] == "loss"

@@ -1,7 +1,7 @@
 """A/B comparison of two checkouts on the benchmark, in alternating pairs.
 
     python tools/ab_compare.py PARENT_TREE [--workload W] [--pairs P] [--seconds S]
-                               [--seed N] [--no-digests]
+                               [--seed N]
 
 PARENT_TREE is another checkout (an exported parent commit, say); the change
 is the checkout that holds this script. For each workload (every workload of
@@ -19,14 +19,16 @@ the change is better (or worse) by scaled value in at least nine pairs of
 ten, its scaled median moved by more than the parent's interquartile range
 and by at least 1% of the parent's median, and, where the benchmark records
 a raw value, the raw value moved the same way in at least nine pairs of ten;
-otherwise `-`. Fewer than ten pairs claim nothing. The 1% floor is there
+otherwise `-`. Fewer than ten pairs claim nothing, and no gain is claimed
+on a workload where the change fails a larger share of its operations than
+the parent. The 1% floor is there
 because two exported copies of one commit, compared with each other,
 differed in `peak_rss_mib` on custom-expr by 0.34% in all ten pairs, with
 quartiles 0.1% apart: a shift that small says more about the tree than
 about the code. It also prints whether each
 tree's sources had cached bytecode when the runs began (`setup_s` includes
-compiling them when not), and, unless `--no-digests`, the
-`tools/output_digests.py` entries that differ between the two trees.
+compiling them when not), and the `tools/output_digests.py` entries that
+differ between the two trees.
 
 It writes only what the two `bench/run.py` runs write (their `bench_out/`)
 and changes no file under `bench/`.
@@ -55,7 +57,6 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-digests", action="store_true")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -63,8 +64,8 @@ def parse_args(argv):
 
 
 def bench_run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
-    """{'scaled': metrics, 'raw': raw metrics, 'failed': failed ops} of one
-    `bench/run.py` run of tree."""
+    """{'scaled': metrics, 'raw': raw metrics, 'failed': failed ops,
+    'attempted': all ops} of one `bench/run.py` run of tree."""
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
          "--seconds", str(seconds), "--seed", str(seed), "--trace", "0"],
@@ -76,7 +77,7 @@ def bench_run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
                if line.startswith(RAW_PREFIX))
     result = json.loads(lines[-1])
     return {"scaled": {name: m["value"] for name, m in result["metrics"].items()},
-            "raw": raw, "failed": result["failed"]}
+            "raw": raw, "failed": result["failed"], "attempted": result["attempted"]}
 
 
 def quartiles(values):
@@ -129,6 +130,9 @@ def digests(change: Path, checkout: Path) -> dict:
 
 def report_workload(workload, runs, config):
     print(f"\n== {workload}: {len(runs['parent'])} pairs")
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    share = {side: failed[side] / max(1, sum(r["attempted"] for r in runs[side]))
+             for side in runs}
     for metric in config["end_to_end"]:
         name = metric["name"]
         claim = None
@@ -143,9 +147,10 @@ def report_workload(workload, runs, config):
                 claim = direction if shift and len(runs["parent"]) >= MIN_PAIRS else 0
             elif direction != claim:
                 claim = 0
+        if claim == 1 and share["change"] > share["parent"]:
+            claim = 0  # a gain bought with failed operations is no gain
         print(f"{name:<14} claim  {({1: 'gain', -1: 'loss'}).get(claim, '-')}")
-    failed = [sum(r["failed"] for r in runs[side]) for side in ("parent", "change")]
-    print(f"failed ops: parent {failed[0]}, change {failed[1]}")
+    print(f"failed ops: parent {failed['parent']}, change {failed['change']}")
 
 
 def main(argv=None) -> int:
@@ -169,13 +174,12 @@ def main(argv=None) -> int:
                 runs[side].append(bench_run(trees[side], workload, args.seconds, args.seed))
         report_workload(workload, runs, config)
 
-    if not args.no_digests:
-        theirs = digests(trees["change"], trees["parent"])
-        ours = digests(trees["change"], trees["change"])
-        differ = [name for name in ours if theirs.get(name) != ours[name]]
-        print(f"\ndigests: {len(ours) - len(differ)} of {len(ours)} equal")
-        for name in differ:
-            print(f"differs: {name} parent {theirs.get(name)} change {ours[name]}")
+    theirs = digests(trees["change"], trees["parent"])
+    ours = digests(trees["change"], trees["change"])
+    differ = [name for name in ours if theirs.get(name) != ours[name]]
+    print(f"\ndigests: {len(ours) - len(differ)} of {len(ours)} equal")
+    for name in differ:
+        print(f"differs: {name} parent {theirs.get(name)} change {ours[name]}")
     return 0
 
 
