@@ -117,12 +117,14 @@ def _sample(func, *args) -> np.ndarray:
     returned as it is. Of func's calls, only a scalar one can make `_sample`
     raise.
     """
-    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    args = [np.asarray(a, dtype=float) for a in args]
+    if len(args) > 1:
+        args = np.broadcast_arrays(*args)
     shape = args[0].shape
     try:
         vals = np.asarray(_real(func(*args)), dtype=float)
         if vals.shape in (shape, ()) and np.isfinite(vals).all():
-            return np.broadcast_to(vals, shape).copy()
+            return vals.copy() if vals.shape == shape else np.broadcast_to(vals, shape).copy()
     except Exception:
         pass
     points = zip(*(a.ravel().tolist() for a in args))

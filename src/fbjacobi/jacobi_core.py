@@ -96,8 +96,14 @@ def jacobi_table(params: JacobiParams, n: int, z) -> np.ndarray:
     a, b, c = _recurrence_lists(params, n)
     if n >= 1:
         table[1] = a[0] * x + b[0]
-    for k in range(1, n):
-        table[k + 1] = (a[k] * x + b[k]) * table[k] - c[k] * table[k - 1]
+    tmp = np.empty(x.shape)
+    for k in range(1, n):  # (a_k x + b_k) P_k - c_k P_{k-1}, in place
+        row = table[k + 1, ...]  # a view, also where z is a scalar
+        np.multiply(x, a[k], out=row)
+        row += b[k]
+        row *= table[k]
+        np.multiply(table[k - 1], c[k], out=tmp)
+        row -= tmp
     return table
 
 

@@ -145,8 +145,8 @@ def example1(theta: float) -> ProblemDefinition:
         half = 0.5 * w_in
         # Python's pow and math.sin per element: numpy's can be an ulp away,
         # which the theta = 2/3 systems (cond ~ 1e8) turn into 1e-9 in u.
-        pw = np.vectorize(lambda x: x**nu, otypes=[float])(w_in)
-        sn = np.vectorize(math.sin, otypes=[float])(half)
+        pw = np.array([x**nu for x in w_in.ravel().tolist()]).reshape(w_in.shape)
+        sn = np.array([math.sin(x) for x in half.ravel().tolist()]).reshape(w_in.shape)
         g = u_w(w_in) - scale * pw * sn * bessel_j(nu, half)
         return np.where(edge, 0.0, g)[()]
 

@@ -11,18 +11,24 @@ grid of (node, quadrature point) pairs, then the source (its w-form when
 there is one) once at the nodes, both through one helper that turns a
 failure into a NumericalError naming the first failing point. Each row then
 takes one pass, in blocks of rows with at most 2**17 gaps in all (one row
-per block from N = 256): one rank-2 matrix product per row, whose factors
-(`approximation._gap_factors`) are built once per system, writes the gaps
-between its quadrature points and the nodes into one reused buffer, their
-reciprocals replace them, and two matrix-vector products give the
-barycentric denominators and the row. Small systems thus pay per block, not
-per row, for numpy's call overhead. A row with a point exactly on a node
-(an infinite reciprocal) is rebuilt through `approximation.cardinal_matrix`.
+per block from N = 256): one rank-2 matrix product per row
+(`approximation._gap_factors`) writes the gaps between its quadrature
+points and the nodes into a reused buffer, their reciprocals replace them,
+and two matrix-vector products give the barycentric denominators and the
+row. Small systems thus pay per block, not per row, for numpy's call
+overhead. One-row blocks are shared, interleaved by index, between the
+calling thread and one worker thread when the BLAS runs one thread and the
+process may use two CPUs; each thread has its own buffers, so the rows are
+the same floats either way. A row with a point exactly on a node (an
+infinite reciprocal) is rebuilt through `approximation.cardinal_matrix`,
+after the pass and on the calling thread.
 The dense system is solved and its 1-norm condition number computed with
 LAPACK through numpy.
 """
 
 import math
+import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -194,43 +200,126 @@ def _assemble_from(ctx: _Assembly):
     held in one reused buffer R, fill at most 2**17 entries (1 MiB), or one
     row where a row alone has more. A block costs about ten numpy calls
     however many rows it holds: the stacked matrix-vector products s = R b,
-    then ((chi kbar_i / s) R) * b for each row. Each call runs the same BLAS
-    kernel on the same row as a one-row block would, so the rows are the
-    same floats whatever the block size. A row has (N+1)**2 gaps, more than
-    half the budget from N = 256, so from there a block is one row: at that
-    size the calls cost little beside the entries, and more rows per block
-    would only add memory (16-row blocks were slower at N = 384).
-    The gaps are one rank-2 matrix product per row, whose factors
-    (`approximation._gap_factors`) are built once for all rows: bit for bit
-    the subtraction z_ik - z_j, at a fraction of its cost.
-    An exact zero gap makes s non-finite; only such a row is rebuilt, as its
-    identity row minus the weights times `cardinal_matrix`, which gives a
-    point on a node that node's exact cardinal values.
+    kept for all rows, then ((chi kbar_i / s) R) * b for each row. Each call
+    runs the same BLAS kernel on the same row as a one-row block would, so
+    the rows are the same floats whatever the block size. The gaps are one
+    rank-2 matrix product per row (`approximation._gap_factors`): bit for
+    bit the subtraction z_ik - z_j, at a fraction of its cost.
+    A row has (N+1)**2 gaps, more than half the budget from N = 256, so from
+    there a block is one row (`_one_row_pass`): at that size the calls cost
+    little beside the entries, and more rows per block would only add memory
+    (16-row blocks were slower at N = 384). There the rows are shared,
+    interleaved by index, between the calling thread and one worker thread
+    when the BLAS runs one thread and the process may use two CPUs
+    (`_two_threads`); each runs the same arithmetic on its own buffers, so
+    the rows are the same floats on one thread or two.
+    Multi-row blocks stay on the calling thread: with a second thread they
+    took 0.98 to 2.7 times their serial time at N = 32 to 200.
+    An exact zero gap makes s non-finite; only such a row is rebuilt, after
+    the pass and on the calling thread, as its identity row minus the
+    weights times `cardinal_matrix`, which gives a point on a node that
+    node's exact cardinal values.
     """
     n = ctx.n
-    mat = np.eye(n + 1)
+    mat, s = np.eye(n + 1), np.empty((n + 1, n + 1))
     rows = min(n + 1, max(1, 2**17 // (n + 1) ** 2))
+    if rows == 1:
+        _shared_row_pass(ctx, mat, s)
+    else:
+        _block_pass(ctx, mat, s, rows)
+    for i in np.flatnonzero(~np.isfinite(s).all(axis=1)):
+        mat[i] = np.eye(1, n + 1, i)[0] - (ctx.chi * ctx.kbar[i]) @ cardinal_matrix(
+            ctx.nodes_z, ctx.bary, ctx.quad_z[i])
+    return mat, ctx.rhs
+
+
+def _block_pass(ctx: _Assembly, mat: np.ndarray, s: np.ndarray, rows: int) -> None:
+    """Subtract the operator from mat in blocks of `rows` rows, from left
+    gap factors built once for all rows, and write each row's barycentric
+    denominators into the same row of s."""
+    n = ctx.n
     buf = np.empty((rows, n + 1, n + 1))
     pairs, right = _gap_factors(ctx.quad_z, ctx.nodes_z)
-    with np.errstate(all="ignore"):  # a non-finite s is handled below
+    with np.errstate(all="ignore"):  # a non-finite s is rebuilt by the caller
         for i0 in range(0, n + 1, rows):
-            # A one-row block is indexed by its row number, so that its
-            # arrays keep numpy's fastest shapes, 1-D rows and 2-D matrices:
-            # stacked forms of one row ran 1-3% slower at N = 384.
-            block, recip = ((i0, buf[0]) if rows == 1
-                            else (slice(i0, i0 + rows), buf[:n + 1 - i0]))
+            block, recip = slice(i0, i0 + rows), buf[:n + 1 - i0]
             np.matmul(pairs[block], right, out=recip)
             np.reciprocal(recip, out=recip)
-            s = recip @ ctx.bary
+            block_s = np.matmul(recip, ctx.bary, out=s[block])
             weights = ctx.chi * ctx.kbar[block]
-            mat[block] -= ((weights / s)[..., None, :] @ recip)[..., 0, :] * ctx.bary
-            if not np.isfinite(s).all():
-                s, weights = s.reshape(-1, n + 1), weights.reshape(-1, n + 1)
-                for b in np.flatnonzero(~np.isfinite(s).all(axis=1)):
-                    i = i0 + b
-                    mat[i] = np.eye(1, n + 1, i)[0] - weights[b] @ cardinal_matrix(
-                        ctx.nodes_z, ctx.bary, ctx.quad_z[i])
-    return mat, ctx.rhs
+            mat[block] -= ((weights / block_s)[..., None, :] @ recip)[..., 0, :] * ctx.bary
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Where OpenBLAS, numpy's bundled BLAS, reads its thread count: the first set.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _two_threads() -> bool:
+    """Whether the one-row pass takes a worker thread: the environment holds
+    the BLAS to one thread (the first of `_BLAS_THREAD_VARS` that is set
+    reads 1) and the process may use two CPUs. Under a threaded BLAS the two
+    threads' BLAS calls contend for the BLAS's own threads: with
+    OPENBLAS_NUM_THREADS unset on two cores, the row pass ran 1.7 to 3 times
+    slower on two threads than on one at N = 800 and 1100."""
+    blas = next((os.environ[var] for var in _BLAS_THREAD_VARS if os.environ.get(var)), "")
+    return blas.strip() == "1" and _usable_cpus() >= 2
+
+
+def _shared_row_pass(ctx: _Assembly, mat: np.ndarray, s: np.ndarray) -> None:
+    """`_one_row_pass` over all rows: the even ones on the calling thread and
+    the odd ones on a worker thread when `_two_threads()`, else all on the
+    calling thread. The caller allocates each thread's buffers. The worker
+    is joined before this returns, also when the caller's rows raise, and an
+    exception of the worker's is raised here."""
+    n = ctx.n
+    left, right = _gap_factors(ctx.quad_z[0], ctx.nodes_z)
+    recip = np.empty((n + 1, n + 1))
+    if not _two_threads():
+        _one_row_pass(ctx, mat, s, range(n + 1), left, right, recip)
+        return
+    errors = []
+
+    def work(*args):
+        try:
+            _one_row_pass(*args)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=work, args=(
+        ctx, mat, s, range(1, n + 1, 2), left.copy(), right, np.empty_like(recip)))
+    worker.start()
+    try:
+        _one_row_pass(ctx, mat, s, range(0, n + 1, 2), left, right, recip)
+    finally:
+        worker.join()
+        if errors:
+            raise errors[0]
+
+
+def _one_row_pass(ctx: _Assembly, mat: np.ndarray, s: np.ndarray, rows, left: np.ndarray,
+                  right: np.ndarray, recip: np.ndarray) -> None:
+    """Subtract the operator from each of the given rows of mat, one row at a
+    time: the row's quadrature points fill column 0 of the left gap factor,
+    the gaps and their reciprocals fill recip, and two matrix-vector products
+    give the row's s, written into the same row of s, and the row.
+    Touches only numpy, so it may run on a worker thread; it enters its own
+    errstate, which a new thread does not inherit."""
+    with np.errstate(all="ignore"):  # a non-finite s is rebuilt by the caller
+        for i in rows:
+            left[:, 0] = ctx.quad_z[i]
+            np.matmul(left, right, out=recip)
+            np.reciprocal(recip, out=recip)
+            row_s = np.matmul(recip, ctx.bary, out=s[i])
+            mat[i] -= ((ctx.chi * ctx.kbar[i] / row_s) @ recip) * ctx.bary
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:

@@ -783,7 +783,8 @@ class TestColdStart:
         loaded = set(proc.stdout.split())
         assert {"fbjacobi.cli", "numpy"} <= loaded
         assert loaded.isdisjoint({"xml.sax", "urllib.request", "http.client", "ssl", "email",
-                                  "numpy.random", "fbjacobi.selfcheck", "fbjacobi.svgplot"})
+                                  "numpy.random", "fbjacobi.selfcheck", "fbjacobi.svgplot",
+                                  "concurrent.futures", "multiprocessing"})
 
     @staticmethod
     def run_cold(*argv):

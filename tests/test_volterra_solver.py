@@ -1,7 +1,10 @@
 import contextlib
 import io
 import math
+import os
 import pathlib
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -500,13 +503,15 @@ class TestAssemble:
         assert_rows_close(mat, cardinal_reference(ctx))
 
     # Rows per block: 31 at N = 64 and 7 at N = 129, each with a partial last
-    # block (62-64 and 126-129); one at N = 256.
-    @pytest.mark.parametrize("n", [0, 1, 7, 64, 129, 256])
-    @pytest.mark.parametrize("hit", [False, True])
-    def test_rows_equal_the_subtraction_row_pass(self, n, hit):
+    # block (62-64 and 126-129); one from N = 256, where the calling thread
+    # takes the even rows and the worker the odd ones.
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 129, 256, 300, 384])
+    @pytest.mark.parametrize("hit", [False, True, "odd"])  # True: row n // 2, even here
+    def test_rows_equal_the_subtraction_row_pass(self, n, hit, monkeypatch):
+        monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
         ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), n)
         if hit:  # a quadrature point exactly on a node, as in the fallback test
-            ctx.quad_z[n // 2, n // 3] = ctx.nodes_z[n]
+            ctx.quad_z[min(n, n // 2 | (hit == "odd")), n // 3] = ctx.nodes_z[n]
         mat, rhs = _assemble_from(ctx)
         assert np.array_equal(mat, subtraction_rows(ctx)) and rhs is ctx.rhs
 
@@ -533,6 +538,106 @@ class TestAssemble:
         assert np.all(np.isfinite(mat))
         monkeypatch.undo()
         assert np.array_equal(mat, subtraction_rows(ctx))
+
+    def test_one_cpu_builds_the_same_matrix_without_a_thread(self, monkeypatch):
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), 300)
+        ctx.quad_z[151, 4] = ctx.nodes_z[7]  # a node hit in a worker's row
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(volterra_solver.threading, "Thread", Recorded)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(volterra_solver, "_usable_cpus", lambda: 2)
+        two = _assemble_from(ctx)[0]
+        assert len(started) == 1
+        monkeypatch.setattr(volterra_solver, "_usable_cpus", lambda: 1)
+        one = _assemble_from(ctx)[0]
+        assert len(started) == 1 and np.array_equal(one, two)
+
+    @pytest.mark.parametrize("env, cpus, expected", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+        ({}, 2, False),                                            # BLAS threads unset
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": " 1"}, 4, True),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+    ])
+    def test_two_threads_need_a_one_thread_blas_and_two_cpus(self, env, cpus, expected,
+                                                             monkeypatch):
+        for var in volterra_solver._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(volterra_solver, "_usable_cpus", lambda: cpus)
+        assert volterra_solver._two_threads() is expected
+
+    def test_two_threads_under_fast_switching_build_the_one_thread_matrix(self, monkeypatch):
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), 256)
+        monkeypatch.setattr(volterra_solver, "_two_threads", lambda: False)
+        one = _assemble_from(ctx)[0]
+        monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mats = [_assemble_from(ctx)[0] for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(mat, one) for mat in mats)
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert volterra_solver._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert volterra_solver._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert volterra_solver._usable_cpus() == 1
+
+    @pytest.mark.parametrize("parity", [0, 1])  # the caller's rows, the worker's
+    def test_row_failure_reaches_the_caller_and_leaves_no_thread(self, parity, monkeypatch):
+        class RowError(Exception):
+            pass
+
+        class FailingRows:
+            def __init__(self, kbar):
+                self.kbar = kbar
+
+            def __getitem__(self, i):
+                if i % 2 == parity:
+                    raise RowError(i)
+                return self.kbar[i]
+
+        monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), 256)
+        ctx.kbar = FailingRows(ctx.kbar)
+        before = threading.active_count()
+        with pytest.raises(RowError):
+            _assemble_from(ctx)
+        assert threading.active_count() == before
+
+    def test_worker_row_hit_warns_nothing_and_is_rebuilt_on_the_main_thread(self, monkeypatch):
+        monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
+        ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), 256)
+        hit_rows = (3, 64, 129)  # two of the worker's rows and one of the caller's
+        for i in hit_rows:
+            ctx.quad_z[i, i % 7] = ctx.nodes_z[(3 * i) % 257]
+        rebuilt, threads = [], set()
+
+        def recording(nodes, bary, zs):
+            threads.add(threading.current_thread())
+            rebuilt.append(next(i for i in range(257) if np.array_equal(zs, ctx.quad_z[i])))
+            return cardinal_matrix(nodes, bary, zs)
+
+        monkeypatch.setattr(volterra_solver, "cardinal_matrix", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mat = _assemble_from(ctx)[0]
+        assert rebuilt == list(hit_rows) and threads == {threading.main_thread()}
+        assert np.all(np.isfinite(mat))
 
     def test_hit_free_system_never_takes_the_fallback(self, monkeypatch):
         def no_fallback(*args):

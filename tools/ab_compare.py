@@ -9,7 +9,10 @@ the change's BENCHMARK.json, or each `--workload` given) it runs each tree's
 own `bench/run.py --trace 0` in a fresh process, P times each, alternately:
 the parent goes first in odd pairs and the change in even ones, so a drift in
 machine speed does not favour one side. From every run it reads the
-`raw (unscaled)` line and the result line (the last one).
+`raw (unscaled)` line, the result line (the last one) and, from the
+`environment` line, `usable_cores` and `blas_threads`: it prints them per
+side and warns when the sides differ, since a gain that needs a second core
+is the code's only when both sides had one.
 
 For every end-to-end metric of BENCHMARK.json it prints, per side, the median
 and quartiles of the scaled value and of the raw value where the benchmark
@@ -44,6 +47,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RAW_PREFIX = "raw (unscaled) "
+ENV_PREFIX = "environment "
+ENV_KEYS = ("usable_cores", "blas_threads")  # what a gain from threads depends on
 MIN_PAIRS = 10  # fewer pairs report their numbers but claim nothing
 WIN_SHARE = 0.9  # pairs the better side must win for a claim
 MIN_SHIFT = 0.01  # smallest relative move of the median that can be claimed
@@ -65,7 +70,8 @@ def parse_args(argv):
 
 def bench_run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     """{'scaled': metrics, 'raw': raw metrics, 'failed': failed ops,
-    'attempted': all ops} of one `bench/run.py` run of tree."""
+    'attempted': all ops, 'environment': {ENV_KEYS: values}} of one
+    `bench/run.py` run of tree; a key its environment line lacks is None."""
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
          "--seconds", str(seconds), "--seed", str(seed), "--trace", "0"],
@@ -75,9 +81,12 @@ def bench_run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     lines = proc.stdout.splitlines()
     raw = next(json.loads(line[len(RAW_PREFIX):]) for line in lines
                if line.startswith(RAW_PREFIX))
+    env = next(json.loads(line[len(ENV_PREFIX):]) for line in lines
+               if line.startswith(ENV_PREFIX))
     result = json.loads(lines[-1])
     return {"scaled": {name: m["value"] for name, m in result["metrics"].items()},
-            "raw": raw, "failed": result["failed"], "attempted": result["attempted"]}
+            "raw": raw, "failed": result["failed"], "attempted": result["attempted"],
+            "environment": {key: env.get(key) for key in ENV_KEYS}}
 
 
 def quartiles(values):
@@ -128,8 +137,22 @@ def digests(change: Path, checkout: Path) -> dict:
     return dict(line.split() for line in proc.stdout.splitlines())
 
 
+def report_environment(runs):
+    """Print each side's ENV_KEYS values (every distinct set its runs had),
+    and a warning when the two sides' differ."""
+    seen = {side: sorted({tuple(r["environment"][key] for key in ENV_KEYS)
+                          for r in runs[side]}, key=repr) for side in runs}
+    for side, values in seen.items():
+        text = "; ".join(" ".join(f"{key} {v}" for key, v in zip(ENV_KEYS, vs)) for vs in values)
+        print(f"{side:<6} {text}")
+    if seen["parent"] != seen["change"]:
+        print("warning: the sides ran with different usable_cores or blas_threads, "
+              "so a difference may come from the machine, not the code")
+
+
 def report_workload(workload, runs, config):
     print(f"\n== {workload}: {len(runs['parent'])} pairs")
+    report_environment(runs)
     failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
     share = {side: failed[side] / max(1, sum(r["attempted"] for r in runs[side]))
              for side in runs}
