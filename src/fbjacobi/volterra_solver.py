@@ -9,19 +9,19 @@ works with these z-points and the exact distances 1 - t, which stay
 meaningful even where t itself rounds to 1. The kernel is sampled once on the
 grid of (node, quadrature point) pairs, then the source (its w-form when
 there is one) once at the nodes, both through one helper that turns a
-failure into a NumericalError naming the first failing point. Each row then
-takes one pass, in blocks of rows with at most 2**17 gaps in all (one row
-per block from N = 256): one rank-2 matrix product per row
-(`approximation._gap_factors`) writes the gaps between its quadrature
-points and the nodes into a reused buffer, their reciprocals replace them,
-and two matrix-vector products give the barycentric denominators and the
+failure into a NumericalError naming the first failing point. One row pass
+then writes the rows, in blocks of at most 2**17 gaps in all (one row per
+block from N = 256): the block's points and one rank-2 matrix product
+(`approximation._gap_factors`) write the gaps between its quadrature points
+and the nodes into a reused buffer, their reciprocals replace them, and two
+matrix-vector products per row give the barycentric denominators and the
 row. Small systems thus pay per block, not per row, for numpy's call
 overhead. One-row blocks are shared, interleaved by index, between the
 calling thread and one worker thread when the BLAS runs one thread and the
-process may use two CPUs; each thread has its own buffers, so the rows are
-the same floats either way. A row with a point exactly on a node (an
-infinite reciprocal) is rebuilt through `approximation.cardinal_matrix`,
-after the pass and on the calling thread.
+process may use two CPUs; each thread runs the same pass on its own
+buffers, so the rows are the same floats either way. A row with a point
+exactly on a node (an infinite reciprocal) is rebuilt through
+`approximation.cardinal_matrix`, after the pass and on the calling thread.
 The dense system is solved and its 1-norm condition number computed with
 LAPACK through numpy.
 """
@@ -189,61 +189,87 @@ class _Assembly:
                                     self.nodes_t, self.w_nodes)
 
 
-def _assemble_from(ctx: _Assembly):
-    """Collocation matrix (identity minus the discrete operator on the
-    cardinal basis) and right-hand side (`ctx.rhs`, the source values at the
-    nodes); the problem itself is not read here.
+def _assemble_from(ctx: _Assembly) -> np.ndarray:
+    """Collocation matrix: the identity minus the discrete operator on the
+    cardinal basis. The problem itself is not read here.
 
     Row i weighs the cardinal functions at its quadrature points z_ik, the
     barycentric quotients (b_j / (z_ik - z_j)) / sum_l b_l / (z_ik - z_l).
-    The rows are taken in blocks whose reciprocal gaps 1 / (z_ik - z_j),
-    held in one reused buffer R, fill at most 2**17 entries (1 MiB), or one
-    row where a row alone has more. A block costs about ten numpy calls
-    however many rows it holds: the stacked matrix-vector products s = R b,
-    kept for all rows, then ((chi kbar_i / s) R) * b for each row. Each call
-    runs the same BLAS kernel on the same row as a one-row block would, so
-    the rows are the same floats whatever the block size. The gaps are one
-    rank-2 matrix product per row (`approximation._gap_factors`): bit for
-    bit the subtraction z_ik - z_j, at a fraction of its cost.
-    A row has (N+1)**2 gaps, more than half the budget from N = 256, so from
-    there a block is one row (`_one_row_pass`): at that size the calls cost
-    little beside the entries, and more rows per block would only add memory
-    (16-row blocks were slower at N = 384). There the rows are shared,
-    interleaved by index, between the calling thread and one worker thread
-    when the BLAS runs one thread and the process may use two CPUs
-    (`_two_threads`); each runs the same arithmetic on its own buffers, so
-    the rows are the same floats on one thread or two.
-    Multi-row blocks stay on the calling thread: with a second thread they
-    took 0.98 to 2.7 times their serial time at N = 32 to 200.
-    An exact zero gap makes s non-finite; only such a row is rebuilt, after
-    the pass and on the calling thread, as its identity row minus the
-    weights times `cardinal_matrix`, which gives a point on a node that
-    node's exact cardinal values.
+    `_row_pass` writes the rows in blocks whose gaps fill at most 2**17
+    entries (1 MiB), or one row where a row alone has more: from N = 256 a
+    block is one row, and more rows per block would only add memory (16-row
+    blocks were slower at N = 384). One-row blocks are shared, interleaved
+    by index, between the calling thread and one worker thread when there
+    are two or more and `_two_threads()`; multi-row blocks stay on the
+    calling thread (with a second thread they took 0.98 to 2.7 times their
+    serial time at N = 32 to 200). Each thread runs the same arithmetic on
+    its own buffers, so the rows are the same floats on one thread or two.
+    The worker is joined before this returns, also when the caller's rows
+    raise, and an exception of the worker's is raised here.
+    An exact zero gap makes a row's s non-finite; only such a row is
+    rebuilt, after the pass and on the calling thread, as its identity row
+    minus the weights times `cardinal_matrix`, which gives a point on a node
+    that node's exact cardinal values.
     """
     n = ctx.n
     mat, s = np.eye(n + 1), np.empty((n + 1, n + 1))
     rows = min(n + 1, max(1, 2**17 // (n + 1) ** 2))
-    if rows == 1:
-        _shared_row_pass(ctx, mat, s)
+    starts, buf = range(0, n + 1, rows), np.empty((rows, n + 1, n + 1))
+    if rows == 1 and n > 0 and _two_threads():
+        errors, worker_buf = [], np.empty_like(buf)
+
+        def work():
+            try:
+                _row_pass(ctx, mat, s, starts[1::2], worker_buf)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors.append(exc)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        try:
+            _row_pass(ctx, mat, s, starts[::2], buf)
+        finally:
+            worker.join()
+            if errors:
+                raise errors[0]
     else:
-        _block_pass(ctx, mat, s, rows)
+        _row_pass(ctx, mat, s, starts, buf)
     for i in np.flatnonzero(~np.isfinite(s).all(axis=1)):
         mat[i] = np.eye(1, n + 1, i)[0] - (ctx.chi * ctx.kbar[i]) @ cardinal_matrix(
             ctx.nodes_z, ctx.bary, ctx.quad_z[i])
-    return mat, ctx.rhs
+    return mat
 
 
-def _block_pass(ctx: _Assembly, mat: np.ndarray, s: np.ndarray, rows: int) -> None:
-    """Subtract the operator from mat in blocks of `rows` rows, from left
-    gap factors built once for all rows, and write each row's barycentric
-    denominators into the same row of s."""
-    n = ctx.n
-    buf = np.empty((rows, n + 1, n + 1))
-    pairs, right = _gap_factors(ctx.quad_z, ctx.nodes_z)
+def _row_pass(ctx: _Assembly, mat: np.ndarray, s: np.ndarray, starts,
+              buf: np.ndarray) -> None:
+    """Subtract the operator from mat in blocks of len(buf) rows, one
+    starting at each index in `starts`, and write each row's barycentric
+    denominators s = R b into the same row of s.
+
+    A block costs about ten numpy calls however many rows it holds. Its
+    quadrature points fill the reused left gap factor [z_ik, 1]
+    (`approximation._gap_factors`), whose rank-2 product with the right one
+    writes the gaps z_ik - z_j, bit for bit the subtraction, into R, the
+    caller's gap buffer `buf`; their reciprocals replace them, and the
+    stacked products s = R b and ((chi kbar_i / s) R) * b give the rows.
+    Each call runs the same BLAS kernel on the same row as a one-row block
+    would, so the rows are the same floats whatever the block size. A
+    one-row block is indexed by its row number, so that its arrays keep
+    numpy's fastest shapes, 1-D rows and 2-D matrices (stacked forms of one
+    row ran 1-3% slower at N = 384). Touches only numpy, so it may run on a
+    worker thread; it enters its own errstate, which a new thread does not
+    inherit. The caller allocates a worker's `buf` on the calling thread:
+    allocated on the worker, it raised the peak RSS of N = 384 solves by
+    about 1.3 MiB.
+    """
+    n, rows = ctx.n, len(buf)
+    left, right = _gap_factors(ctx.quad_z[:rows], ctx.nodes_z)
     with np.errstate(all="ignore"):  # a non-finite s is rebuilt by the caller
-        for i0 in range(0, n + 1, rows):
-            block, recip = slice(i0, i0 + rows), buf[:n + 1 - i0]
-            np.matmul(pairs[block], right, out=recip)
+        for i0 in starts:
+            block, gaps, recip = ((i0, left[0], buf[0]) if rows == 1 else
+                                  (slice(i0, i0 + rows), left[:n + 1 - i0], buf[:n + 1 - i0]))
+            gaps[..., 0] = ctx.quad_z[block]
+            np.matmul(gaps, right, out=recip)
             np.reciprocal(recip, out=recip)
             block_s = np.matmul(recip, ctx.bary, out=s[block])
             weights = ctx.chi * ctx.kbar[block]
@@ -264,62 +290,15 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 
 
 def _two_threads() -> bool:
-    """Whether the one-row pass takes a worker thread: the environment holds
-    the BLAS to one thread (the first of `_BLAS_THREAD_VARS` that is set
-    reads 1) and the process may use two CPUs. Under a threaded BLAS the two
-    threads' BLAS calls contend for the BLAS's own threads: with
-    OPENBLAS_NUM_THREADS unset on two cores, the row pass ran 1.7 to 3 times
-    slower on two threads than on one at N = 800 and 1100."""
+    """Whether one-row blocks are shared with a worker thread: the
+    environment holds the BLAS to one thread (the first of
+    `_BLAS_THREAD_VARS` that is set reads 1) and the process may use two
+    CPUs. Under a threaded BLAS the two threads' BLAS calls contend for the
+    BLAS's own threads: with OPENBLAS_NUM_THREADS unset on two cores, the row
+    pass ran 1.7 to 3 times slower on two threads than on one at N = 800 and
+    1100."""
     blas = next((os.environ[var] for var in _BLAS_THREAD_VARS if os.environ.get(var)), "")
     return blas.strip() == "1" and _usable_cpus() >= 2
-
-
-def _shared_row_pass(ctx: _Assembly, mat: np.ndarray, s: np.ndarray) -> None:
-    """`_one_row_pass` over all rows: the even ones on the calling thread and
-    the odd ones on a worker thread when `_two_threads()`, else all on the
-    calling thread. The caller allocates each thread's buffers. The worker
-    is joined before this returns, also when the caller's rows raise, and an
-    exception of the worker's is raised here."""
-    n = ctx.n
-    left, right = _gap_factors(ctx.quad_z[0], ctx.nodes_z)
-    recip = np.empty((n + 1, n + 1))
-    if not _two_threads():
-        _one_row_pass(ctx, mat, s, range(n + 1), left, right, recip)
-        return
-    errors = []
-
-    def work(*args):
-        try:
-            _one_row_pass(*args)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    worker = threading.Thread(target=work, args=(
-        ctx, mat, s, range(1, n + 1, 2), left.copy(), right, np.empty_like(recip)))
-    worker.start()
-    try:
-        _one_row_pass(ctx, mat, s, range(0, n + 1, 2), left, right, recip)
-    finally:
-        worker.join()
-        if errors:
-            raise errors[0]
-
-
-def _one_row_pass(ctx: _Assembly, mat: np.ndarray, s: np.ndarray, rows, left: np.ndarray,
-                  right: np.ndarray, recip: np.ndarray) -> None:
-    """Subtract the operator from each of the given rows of mat, one row at a
-    time: the row's quadrature points fill column 0 of the left gap factor,
-    the gaps and their reciprocals fill recip, and two matrix-vector products
-    give the row's s, written into the same row of s, and the row.
-    Touches only numpy, so it may run on a worker thread; it enters its own
-    errstate, which a new thread does not inherit."""
-    with np.errstate(all="ignore"):  # a non-finite s is rebuilt by the caller
-        for i in rows:
-            left[:, 0] = ctx.quad_z[i]
-            np.matmul(left, right, out=recip)
-            np.reciprocal(recip, out=recip)
-            row_s = np.matmul(recip, ctx.bary, out=s[i])
-            mat[i] -= ((ctx.chi * ctx.kbar[i] / row_s) @ recip) * ctx.bary
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -342,7 +321,7 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
     """
     t0 = time.perf_counter()
     ctx = _Assembly(problem, spec, n)
-    mat, rhs = _assemble_from(ctx)
+    mat, rhs = _assemble_from(ctx), ctx.rhs
     _require_finite("matrix", mat)
     _require_finite("rhs", rhs)
     t1 = time.perf_counter()

@@ -37,7 +37,8 @@ def unit_problem(theta):
 
 
 def assemble(problem, spec, n):
-    return _assemble_from(_Assembly(problem, spec, n))
+    ctx = _Assembly(problem, spec, n)
+    return _assemble_from(ctx), ctx.rhs
 
 
 def apply_operator(ctx, phi, i):
@@ -488,7 +489,7 @@ class TestAssemble:
     @pytest.mark.parametrize("mu, up, rho", [(-0.5, -0.5, 0.5), (0.5, -0.25, 1.0 / 3.0)])
     def test_rows_match_cardinal_matrix_reference(self, n, mu, up, rho):
         ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(mu, up, rho), n)
-        assert_rows_close(_assemble_from(ctx)[0], cardinal_reference(ctx))
+        assert_rows_close(_assemble_from(ctx), cardinal_reference(ctx))
 
     def test_node_hit_row_falls_back_to_cardinal_matrix(self):
         # a quadrature point exactly on a node: its reciprocal gap is infinite,
@@ -498,22 +499,22 @@ class TestAssemble:
         ctx.quad_z[i, k] = ctx.nodes_z[j]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            mat, _ = _assemble_from(ctx)
+            mat = _assemble_from(ctx)
         assert np.all(np.isfinite(mat[i]))
         assert_rows_close(mat, cardinal_reference(ctx))
 
     # Rows per block: 31 at N = 64 and 7 at N = 129, each with a partial last
-    # block (62-64 and 126-129); one from N = 256, where the calling thread
-    # takes the even rows and the worker the odd ones.
-    @pytest.mark.parametrize("n", [0, 1, 7, 64, 129, 256, 300, 384])
-    @pytest.mark.parametrize("hit", [False, True, "odd"])  # True: row n // 2, even here
+    # block (62-64 and 126-129); two at N = 254 (the last block, row 254,
+    # alone) and 255, the last sizes with multi-row blocks; one from N = 256,
+    # where the calling thread takes the even rows and the worker the odd ones.
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 129, 254, 255, 256, 300, 384])
+    @pytest.mark.parametrize("hit", [False, True, "odd"])  # True: an even row
     def test_rows_equal_the_subtraction_row_pass(self, n, hit, monkeypatch):
         monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
         ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), n)
         if hit:  # a quadrature point exactly on a node, as in the fallback test
-            ctx.quad_z[min(n, n // 2 | (hit == "odd")), n // 3] = ctx.nodes_z[n]
-        mat, rhs = _assemble_from(ctx)
-        assert np.array_equal(mat, subtraction_rows(ctx)) and rhs is ctx.rhs
+            ctx.quad_z[min(n, (n // 2 & ~1) | (hit == "odd")), n // 3] = ctx.nodes_z[n]
+        assert np.array_equal(_assemble_from(ctx), subtraction_rows(ctx))
 
     @pytest.mark.parametrize("n, hit_rows", [
         (64, (33,)),         # a middle row of the second 31-row block
@@ -533,7 +534,7 @@ class TestAssemble:
             return cardinal_matrix(nodes, bary, zs)
 
         monkeypatch.setattr(volterra_solver, "cardinal_matrix", recording)
-        mat = _assemble_from(ctx)[0]
+        mat = _assemble_from(ctx)
         assert rebuilt == list(hit_rows)
         assert np.all(np.isfinite(mat))
         monkeypatch.undo()
@@ -552,11 +553,27 @@ class TestAssemble:
         monkeypatch.setattr(volterra_solver.threading, "Thread", Recorded)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(volterra_solver, "_usable_cpus", lambda: 2)
-        two = _assemble_from(ctx)[0]
+        two = _assemble_from(ctx)
         assert len(started) == 1
         monkeypatch.setattr(volterra_solver, "_usable_cpus", lambda: 1)
-        one = _assemble_from(ctx)[0]
+        one = _assemble_from(ctx)
         assert len(started) == 1 and np.array_equal(one, two)
+
+    @pytest.mark.parametrize("n, threads", [(0, 0), (255, 0), (256, 1)])
+    def test_a_worker_starts_only_for_two_or_more_one_row_blocks(self, n, threads,
+                                                                monkeypatch):
+        # N = 0 has one one-row block, N = 255 two-row blocks
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(volterra_solver.threading, "Thread", Recorded)
+        monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
+        _assemble_from(_Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), n))
+        assert len(started) == threads
 
     @pytest.mark.parametrize("env, cpus, expected", [
         ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
@@ -578,12 +595,12 @@ class TestAssemble:
     def test_two_threads_under_fast_switching_build_the_one_thread_matrix(self, monkeypatch):
         ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), 256)
         monkeypatch.setattr(volterra_solver, "_two_threads", lambda: False)
-        one = _assemble_from(ctx)[0]
+        one = _assemble_from(ctx)
         monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            mats = [_assemble_from(ctx)[0] for _ in range(3)]
+            mats = [_assemble_from(ctx) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(mat, one) for mat in mats)
@@ -635,7 +652,7 @@ class TestAssemble:
         monkeypatch.setattr(volterra_solver, "cardinal_matrix", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            mat = _assemble_from(ctx)[0]
+            mat = _assemble_from(ctx)
         assert rebuilt == list(hit_rows) and threads == {threading.main_thread()}
         assert np.all(np.isfinite(mat))
 
