@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward_basis import BackwardSpec, map_forward, map_inverse
-from .jacobi_core import MAX_N, JacobiParams, gauss_rule, jacobi_norm, jacobi_table
+from .jacobi_core import MAX_N, JacobiParams, _frozen_copy, gauss_rule, jacobi_norm, jacobi_table
 
 # Largest M x (N+1) cardinal matrix the CLI builds to evaluate a degree-N
 # solution at M grid points: 2**26 float64 entries are 512 MiB.
@@ -140,8 +140,7 @@ class Expansion:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        self.coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", _frozen_copy(self.coeffs))
 
     def __call__(self, t):
         return eval_expansion(self, t)
@@ -159,9 +158,7 @@ class Interpolant:
 
     def __post_init__(self):
         for name in ("nodes_z", "nodes_t", "values", "bary_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+            object.__setattr__(self, name, _frozen_copy(getattr(self, name)))
 
     def __call__(self, t):
         return eval_interpolant(self, t)

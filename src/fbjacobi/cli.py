@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import types
-import warnings
 
 import numpy as np
 
@@ -149,7 +148,8 @@ def _untrapped_inf(node, names) -> bool:
 
 def _expr_function(expr: str, names):
     """Compile a custom expression in `names` to a function of them; raises
-    UsageError if it does not parse or leaves the grammar. The tree is
+    UsageError if it does not parse, leaves the grammar or is nested too
+    deeply for the recursion of parsing, checking or compiling. The tree is
     compiled once, as a lambda bound to `math`, and, if it has an array form,
     bound again to `_ARRAY_MATH`, where numpy traps each step at which Python
     raises on finite values (1/0, log(0), exp(1000)) with FloatingPointError.
@@ -160,13 +160,16 @@ def _expr_function(expr: str, names):
     value a float, so any error is the scalar form's or `_sample`'s own."""
     try:
         tree = ast.parse(expr, "<expr>", "eval")
+        has_array_form = _check_expr(tree, names)
+        params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
+                               kwonlyargs=[], kw_defaults=[], defaults=[])
+        lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
+        code = compile(lam, "<expr>", "eval")
     except SyntaxError as exc:
         raise UsageError(f"invalid expression {expr!r}: {exc.msg}") from exc
-    has_array_form = _check_expr(tree, names)
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
-    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
-    code = compile(lam, "<expr>", "eval")
+    except RecursionError as exc:  # parse, check and compile all recurse on the tree
+        raise UsageError(f"invalid expression of {len(expr)} characters: "
+                         "nested too deeply") from exc
     scalar = eval(code, {"__builtins__": {}, "math": math})
     array_f = has_array_form and eval(code, {"__builtins__": {}, "math": _ARRAY_MATH})
 
@@ -213,10 +216,9 @@ def _setup(args, n_max: int, outputs):
 
 
 def _solve(problem, spec, n: int):
-    """`solve`, with its nearly-singular RuntimeWarning turned into a `warning:` line."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "collocation system is nearly singular", RuntimeWarning)
-        sol = solve(problem, spec, n)
+    """`solve`, with a `warning:` line on stderr when its diagnostics say
+    `near_singular`."""
+    sol = solve(problem, spec, n)
     if sol.diagnostics.near_singular:
         print(f"warning: N={n}: collocation system is nearly singular "
               f"(cond ~ {sol.diagnostics.condition:.3e})", file=sys.stderr)

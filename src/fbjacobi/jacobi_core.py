@@ -47,6 +47,14 @@ class JacobiParams:
         return JacobiParams(self.mu + k, self.upsilon + k)
 
 
+def _frozen_copy(values) -> np.ndarray:
+    """A read-only float64 copy of values: a frozen dataclass holds its own
+    arrays, so freezing them leaves the caller's arrays writable."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss rule on [0,1] for the weight (1-z)^mu * z^upsilon.
@@ -59,8 +67,8 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        object.__setattr__(self, "nodes", _frozen_copy(self.nodes))
+        object.__setattr__(self, "weights", _frozen_copy(self.weights))
 
 
 def _recurrence_coeffs(params: JacobiParams, m: int):

@@ -30,7 +30,6 @@ import math
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,8 +102,8 @@ class SolveDiagnostics:
     epsilon, not an estimate of the accuracy of u. `assembly_seconds` times
     the nodes, rule, kernel and source sampling and the matrix rows;
     `solve_seconds` the LU solve and its finiteness check. `near_singular`
-    is set when the condition number exceeds 1e12 or is NaN; `solve` then
-    also issues a RuntimeWarning.
+    is set when the condition number exceeds 1e12 or is NaN. It is data, not
+    a fault: `solve` issues no warning, and the caller decides what to say.
     """
 
     condition: float
@@ -317,7 +316,7 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
     when the matrix or the rhs has a non-finite entry (before LAPACK runs),
     on an exact zero pivot, and when the solution has a non-finite entry.
     The diagnostics carry the 1-norm condition number; a value above 1e12,
-    or NaN, sets `near_singular` and issues a RuntimeWarning.
+    or NaN, sets `near_singular`. No warning is issued.
     """
     t0 = time.perf_counter()
     ctx = _Assembly(problem, spec, n)
@@ -333,19 +332,13 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
     t2 = time.perf_counter()
 
     cond = float(np.linalg.cond(mat, 1))
-    near_singular = not (cond <= 1e12)
-    if near_singular:
-        warnings.warn(
-            f"collocation system is nearly singular (cond ~ {cond:.3e})",
-            RuntimeWarning,
-        )
     residual = float(np.max(np.abs(mat @ values - rhs)))
     diag = SolveDiagnostics(
         condition=cond,
         residual=residual,
         assembly_seconds=t1 - t0,
         solve_seconds=t2 - t1,
-        near_singular=near_singular,
+        near_singular=not (cond <= 1e12),
     )
     ip = Interpolant(spec, ctx.nodes_z, ctx.nodes_t, values, ctx.bary)
     return CollocationSolution(ctx.nodes_t, values, ip, diag)

@@ -32,7 +32,13 @@ from fbjacobi.backward_basis import (
     map_forward,
     map_inverse,
 )
-from fbjacobi.jacobi_core import JacobiParams, gauss_rule, jacobi_eval, jacobi_norm
+from fbjacobi.jacobi_core import (
+    JacobiParams,
+    QuadratureRule,
+    gauss_rule,
+    jacobi_eval,
+    jacobi_norm,
+)
 from fbjacobi.special_functions import beta
 
 
@@ -92,6 +98,22 @@ class TestProject:
         for r in range(9):
             ip = float(np.dot(rule.weights, resid * fb_eval(s, r, ts)))
             assert abs(ip) <= 1e-10
+
+
+def test_held_arrays_are_frozen_copies():
+    # Expansion, Interpolant and QuadratureRule freeze copies of their arrays,
+    # so the caller's arrays stay writable and share no memory with them
+    given = [np.array([0.25, 0.5]) + k for k in range(7)]
+    exp = Expansion(spec_of(-0.25, -0.25, 0.5), given[0])
+    ip = Interpolant(spec_of(-0.25, -0.25, 0.5), *given[1:5])
+    rule = QuadratureRule(*given[5:])
+    held = [exp.coeffs, ip.nodes_z, ip.nodes_t, ip.values, ip.bary_weights,
+            rule.nodes, rule.weights]
+    for mine, theirs in zip(given, held):
+        assert not theirs.flags.writeable and not np.shares_memory(mine, theirs)
+        assert np.array_equal(mine, theirs)
+        mine[0] = 3.0
+        assert theirs[0] != 3.0
 
 
 class TestEvalExpansion:

@@ -125,6 +125,23 @@ class TestSolveCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    # 2000 terms overflow the recursion of the grammar check, 5000 that of
+    # ast.parse; a usage error either way, while 100 terms solve
+    @pytest.mark.parametrize("terms, code", [(100, 0), (2000, 2), (5000, 2)])
+    def test_deeply_nested_expression_is_usage_error(self, terms, code, tmp_path, capsys):
+        out = tmp_path / "sol.csv"
+        assert run([
+            "solve", "--problem", "custom", "--kernel-expr", "+".join(["t"] * terms),
+            "--source-expr", "1.0", "--n", "8", "--out", str(out),
+        ]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (f"error: invalid expression of {2 * terms - 1} characters: "
+                           "nested too deeply\n")
+            assert not out.exists()
+        else:
+            assert err == "" and len(out.read_text().splitlines()) > 1
+
 
 class TestConvergeCommand:
     def test_csv_contract_and_byte_stability(self, tmp_path):
@@ -275,8 +292,9 @@ class TestConvergeCommand:
         assert code == 2
 
     def test_nearly_singular_rows_are_kept_with_a_warning_line(self, tmp_path, capsys):
-        # cond ~ 6.5e13 and 1.7e16; the library's RuntimeWarning, an error
-        # under this suite's warning filter, becomes one line per degree
+        # cond ~ 6.5e13 and 1.7e16; the library issues no warning (an error
+        # under this suite's warning filter), and the CLI prints one line per
+        # degree from the solve's diagnostics
         out = tmp_path / "s.csv"
         code = run([
             "converge", "--problem", "example1", "--theta", "0.7", "--rho", "0.3",

@@ -814,12 +814,22 @@ class TestSolve:
         assert abs(cond - ref) <= 1e-10 * ref
 
     def test_nan_condition_is_near_singular(self, monkeypatch):
-        # a finite system whose condition estimate comes out NaN
+        # a finite system whose condition estimate comes out NaN; the suite's
+        # warning filter checks that no warning is issued
         monkeypatch.setattr(np.linalg, "cond", lambda a, p: math.nan)
-        with pytest.warns(RuntimeWarning, match="nearly singular"):
-            sol = solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), 16)
+        sol = solve(unit_problem(0.5), spec_of(-0.25, -0.25, 0.5), 16)
         assert math.isnan(sol.diagnostics.condition)
         assert sol.diagnostics.near_singular is True
+
+    def test_wall_solve_returns_under_an_error_filter(self):
+        # cond ~ 1.7e16: being near singular is reported as data, so no
+        # warning filter can turn the solve into an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(example1(0.7), spec_of(-0.25, -0.25, 0.3), 48)
+        assert sol.diagnostics.near_singular is True
+        assert sol.diagnostics.condition > 1e12
+        assert np.all(np.isfinite(sol.values))
 
     # the NaN kernel passes the construction probes but is NaN at some
     # quadrature points, so the matrix has NaN entries

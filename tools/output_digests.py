@@ -1,24 +1,26 @@
 """Digests of a fixed corpus of CLI outputs, for byte-identity checks.
 
 Runs `fbjacobi.cli.main` in-process, each invocation in a fresh temporary
-directory, over 37 entries: the README `solve` and `converge` commands, the
+directory, over 39 entries: the README `solve` and `converge` commands, the
 benchmark's converge configurations and custom-expression seeds 0-5 (argv
 read from `bench/workloads.py`), `custom-piecewise` (a `solve` whose kernel,
 source and exact solution are scalar-only expressions, read point by point),
 case2 `solve` and `converge --svg`, a case1 `solve` at N = 384 (the
-benchmark's large-n size), `selftest --quick` at seeds 0-3 and the full
-selftest. Then it runs the first benchmark converge configuration and
-`selftest --quick --seed 0` twice more and digests the second run, under the
-same name plus `-warm`: in a tree that stores its Gauss rules, that run reads
-every rule from the store, so equal digests for an entry and its `-warm`
-twin, and for `-warm` entries of two checkouts, show that stored rules change
-no output. Last come eleven custom-problem runs whose kernel, source or exact
-solution fails or is not finite: the ten `fail-*` runs (nine exit 3;
-`fail-converge-rows` writes its failed rows and exits 0) and
-`nan-exact-converge` (exits 0 with two empty rows), so the failure paths are
-byte-checked too. `fail-kernel-middle` and `fail-kernel-complex` pass the
-kernel probes and fail at node 6 of 16, one by raising, one with a complex
-value. For each it prints
+benchmark's large-n size), `near-singular-solve` and `near-singular-converge`
+(example1 at theta = 0.7, rho = 0.3; N = 48 and N = 40, 48; cond exceeds 1e12
+and stderr carries a `warning:` line per degree), `selftest --quick` at seeds
+0-3 and the full selftest. Then it runs the first benchmark converge
+configuration and `selftest --quick --seed 0` twice more and digests the
+second run, under the same name plus `-warm`: in a tree that stores its
+Gauss rules, that run reads every rule from the store, so equal digests for
+an entry and its `-warm` twin, and for `-warm` entries of two checkouts, show
+that stored rules change no output. Last come eleven custom-problem runs
+whose kernel, source or exact solution fails or is not finite: the ten
+`fail-*` runs (nine exit 3; `fail-converge-rows` writes its failed rows and
+exits 0) and `nan-exact-converge` (exits 0 with two empty rows), so the
+failure paths are byte-checked too. `fail-kernel-middle` and
+`fail-kernel-complex` pass the kernel probes and fail at node 6 of 16, one by
+raising, one with a complex value. For each it prints
 
     name sha256[:16]
 
@@ -71,6 +73,12 @@ def corpus(workloads):
         ("case2-converge", ["converge", "--problem", "case2", "--n-min", "4", "--n-max", "16",
                             "--n-step", "4", "--out", "case2.csv", "--svg", "case2.svg"]),
         ("case1-solve-384", ["solve", "--problem", "case1", "--n", "384", "--out", "case1.csv"]),
+        ("near-singular-solve", ["solve", "--problem", "example1", "--theta", "0.7",
+                                 "--rho", "0.3", "--n", "48", "--eval-points", "11",
+                                 "--out", "s.csv"]),
+        ("near-singular-converge", ["converge", "--problem", "example1", "--theta", "0.7",
+                                    "--rho", "0.3", "--n-min", "40", "--n-max", "48",
+                                    "--n-step", "8", "--eval-points", "11", "--out", "c.csv"]),
     ]
     runs += [(f"selftest-quick-{seed}", ["selftest", "--quick", "--seed", str(seed)])
              for seed in range(4)]
