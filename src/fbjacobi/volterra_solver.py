@@ -163,10 +163,14 @@ class _Assembly:
     is built. The kernel is read before the source, so a problem whose kernel
     and source both fail reports the kernel. The source is read in one pass
     of `ProblemDefinition._source_tw` (its w-form when there is one), and a
-    failure names the node by its t."""
+    failure names the node by its t. This is every step of a solve that reads
+    the problem or builds a rule; `_solve_assembly` reads neither, so it may
+    run on another thread than the one that built its input. `seconds` is the
+    time this took."""
 
     def __init__(self, problem: ProblemDefinition, spec: BackwardSpec, n: int):
-        self.n = n
+        t0 = time.perf_counter()
+        self.n, self.spec = n, spec
         rho, theta = spec.rho, problem.theta
 
         self.nodes_z, self.nodes_t, self.bary = _node_set(spec, n)
@@ -186,6 +190,7 @@ class _Assembly:
                      * ratio ** (-theta) * kernel)
         self.rhs = _sample_at_nodes("source", ("t",), problem._source_tw,
                                     self.nodes_t, self.w_nodes)
+        self.seconds = time.perf_counter() - t0
 
 
 def _assemble_from(ctx: _Assembly) -> np.ndarray:
@@ -318,8 +323,15 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
     The diagnostics carry the 1-norm condition number; a value above 1e12,
     or NaN, sets `near_singular`. No warning is issued.
     """
+    return _solve_assembly(_Assembly(problem, spec, n))
+
+
+def _solve_assembly(ctx: _Assembly) -> CollocationSolution:
+    """The numeric part of `solve`: the rows, the finiteness checks, the LU
+    solve, the condition number, the residual and the interpolant of an
+    assembled system. Reads neither the problem nor a rule. The diagnostics'
+    `assembly_seconds` adds the rows to the assembly's own `seconds`."""
     t0 = time.perf_counter()
-    ctx = _Assembly(problem, spec, n)
     mat, rhs = _assemble_from(ctx), ctx.rhs
     _require_finite("matrix", mat)
     _require_finite("rhs", rhs)
@@ -336,9 +348,9 @@ def solve(problem: ProblemDefinition, spec: BackwardSpec, n: int) -> Collocation
     diag = SolveDiagnostics(
         condition=cond,
         residual=residual,
-        assembly_seconds=t1 - t0,
+        assembly_seconds=ctx.seconds + (t1 - t0),
         solve_seconds=t2 - t1,
         near_singular=not (cond <= 1e12),
     )
-    ip = Interpolant(spec, ctx.nodes_z, ctx.nodes_t, values, ctx.bary)
+    ip = Interpolant(ctx.spec, ctx.nodes_z, ctx.nodes_t, values, ctx.bary)
     return CollocationSolution(ctx.nodes_t, values, ip, diag)

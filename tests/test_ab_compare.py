@@ -96,3 +96,37 @@ def test_bench_run_reads_the_environment_line(monkeypatch):
     run = ab_compare.bench_run(pathlib.Path("tree"), "w", 1.0, 0)
     assert run == {"scaled": {"op_p50_s": 0.4}, "raw": {"op_p50_s": 0.5}, "failed": 0,
                    "attempted": 7, "environment": {"usable_cores": 2, "blas_threads": 1}}
+
+
+def test_digests_are_compared_under_both_blas_settings(monkeypatch, capsys):
+    # the fake digest of `b` differs between the trees only with the BLAS
+    # thread variables unset
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    envs = []
+
+    def fake_run(argv, **kwargs):
+        env = kwargs["env"]
+        envs.append({k: env.get(k) for k in ab_compare.BLAS_VARS})
+        tree_b = "1" if argv[-1] == "parent" and "OPENBLAS_NUM_THREADS" not in env else "0"
+        return ab_compare.subprocess.CompletedProcess(argv, 0, f"a 00\nb {tree_b}\n", "")
+
+    monkeypatch.setattr(ab_compare.subprocess, "run", fake_run)
+    ab_compare.report_digests({"parent": pathlib.Path("parent"),
+                               "change": pathlib.Path("change")})
+    one = {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    unset = dict.fromkeys(ab_compare.BLAS_VARS)
+    assert envs == [one, one, unset, unset]
+    assert capsys.readouterr().out == (
+        "\ndigests with OPENBLAS_NUM_THREADS=1: 2 of 2 equal\n"
+        "\ndigests with BLAS thread variables unset: 1 of 2 equal\n"
+        "differs: b parent 1 change 0\n")
+
+
+@pytest.mark.parametrize("parent, warned", [("x/repo", False), ("x/parent", True)])
+def test_different_directory_names_are_warned(parent, warned, capsys):
+    ab_compare.report_tree_names({"parent": pathlib.Path(parent),
+                                  "change": pathlib.Path("y/repo")})
+    out = capsys.readouterr().out
+    assert ("warning: the trees' directories are named 'parent' and 'repo'" in out) is warned
+    assert bool(out) is warned

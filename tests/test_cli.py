@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import types
 import warnings
 import xml.etree.ElementTree as ET
@@ -18,7 +19,7 @@ import xml.sax.saxutils
 import numpy as np
 import pytest
 
-from fbjacobi import approximation, cli, selfcheck, svgplot
+from fbjacobi import approximation, cli, jacobi_core, selfcheck, svgplot, volterra_solver
 from fbjacobi.approximation import _real, _sample
 from fbjacobi.cli import _csv, _expr_function, main
 from fbjacobi.selfcheck import run_all
@@ -206,6 +207,7 @@ class TestConvergeCommand:
 
     def test_unwritable_svg_refused_before_the_sweep(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(cli, "_Assembly", no_solve)
         out, svg = tmp_path / "b.csv", tmp_path / "missing" / "b.svg"
         assert run(["converge", "--n-min", "16", "--n-max", "128", "--n-step", "16",
                     "--out", str(out), "--svg", str(svg)]) == 2
@@ -343,6 +345,166 @@ class TestConvergeCommand:
         assert "exceeds" in capsys.readouterr().err
         assert run(["solve", "--n", "0", "--eval-points", str(budget)]) == 3
         assert "AssertionError: eval_grid called" in capsys.readouterr().err
+
+
+def _kernel_failing_at(n: int, node: int) -> str:
+    """A custom kernel expression that raises at node `node` of degree n
+    alone (example flags: rho 0.5, mu = upsilon = -0.25), and is 1 elsewhere."""
+    spec = cli.BackwardSpec(cli.JacobiParams(-0.25, -0.25), 0.5)
+    t = float(approximation._node_set(spec, n)[1][node])
+    return f"math.log(-1.0) if math.fabs(t - {t!r}) < 1e-12 else 1.0"
+
+
+class TestConvergeSweep:
+    """converge's degrees on the calling thread alone or shared with one
+    worker thread (`cli._sweep`), forced by patching `_two_threads`."""
+
+    SWEEPS = {
+        "bench-converge": ["--theta", "0.5", "--rho", "0.5", "--mu", "-0.25",
+                           "--upsilon", "-0.25", "--n-min", "16", "--n-max", "128",
+                           "--n-step", "16", "--eval-points", "2001"],
+        "near-singular": ["--theta", "0.7", "--rho", "0.3", "--n-min", "40", "--n-max", "48",
+                          "--n-step", "8", "--eval-points", "11"],
+        "kernel-fails-at-one-degree": [
+            "--problem", "custom", "--kernel-expr", _kernel_failing_at(12, 3),
+            "--source-expr", "1.0", "--exact-expr", "1.0",
+            "--n-min", "4", "--n-max", "16", "--n-step", "4", "--eval-points", "11"],
+        "nan-exact": ["--problem", "custom", "--kernel-expr", "1.0", "--source-expr", "1.0",
+                      "--exact-expr", "math.nan", "--n-min", "4", "--n-max", "8",
+                      "--eval-points", "11"],
+    }
+
+    @staticmethod
+    def converge(flags, two, tmp_path, monkeypatch, capsys):
+        """(exit code, stdout, stderr, CSV bytes) of converge with `flags`."""
+        monkeypatch.setattr(volterra_solver, "_two_threads", lambda: two)
+        out = tmp_path / f"{two}.csv"
+        code = run(["converge", *flags, "--out", str(out)])
+        std = capsys.readouterr()
+        return code, std.out, std.err, out.read_bytes()
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_one_thread_and_two_write_the_same_bytes(self, name, tmp_path, monkeypatch, capsys):
+        one, two = (self.converge(self.SWEEPS[name], t, tmp_path, monkeypatch, capsys)
+                    for t in (False, True))
+        assert one == two
+        code, _, err, csv = two
+        assert code == 0
+        if name == "near-singular":
+            assert [line.split(" (cond ~ ")[0] for line in err.splitlines()] == [
+                f"warning: N={n}: collocation system is nearly singular" for n in (40, 48)]
+        elif name == "kernel-fails-at-one-degree":
+            assert err.startswith("warning: N=12 failed: NumericalError: kernel evaluation "
+                                  "failed at node 3 (t = ")
+            assert err.count("\n") == 1
+            assert csv.decode().splitlines()[3] == "12,,,,,"
+        elif name == "nan-exact":
+            assert csv.decode().splitlines()[1:] == ["4,,,,,", "8,,,,,"]
+            assert [line.split(" failed: ")[0] for line in err.splitlines()] == [
+                "warning: N=4", "warning: N=8"]
+
+    def test_timings_fill_both_columns_on_two_threads(self, tmp_path, monkeypatch, capsys):
+        flags = ["--n-min", "4", "--n-max", "16", "--n-step", "4", "--eval-points", "11",
+                 "--timings"]
+        _, _, _, csv = self.converge(flags, True, tmp_path, monkeypatch, capsys)
+        for row in csv.decode().splitlines()[1:]:
+            fields = row.split(",")
+            assert float(fields[4]) > 0.0 and float(fields[5]) >= 0.0
+
+    def test_problem_and_rules_are_read_on_the_calling_thread(self, tmp_path, monkeypatch,
+                                                              capsys):
+        threads = {"kernel": set(), "source": set(), "source_w": set(), "eigh": set()}
+
+        def recorded(name, func):
+            def wrapper(*args):
+                threads[name].add(threading.current_thread())
+                return func(*args)
+            return wrapper
+
+        def example1(theta):
+            p = example1_(theta)
+            return dataclasses.replace(p, **{name: recorded(name, getattr(p, name))
+                                             for name in ("kernel", "source", "source_w")})
+
+        example1_ = cli.example1
+        monkeypatch.setattr(cli, "example1", example1)
+        monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh))
+        jacobi_core._golub_welsch.cache_clear()
+        numeric = set()
+        solve_assembly = cli._solve_assembly
+
+        def numeric_part(ctx):
+            numeric.add(threading.current_thread())
+            return solve_assembly(ctx)
+
+        monkeypatch.setattr(cli, "_solve_assembly", numeric_part)
+        code, *_ = self.converge(self.SWEEPS["bench-converge"], True, tmp_path, monkeypatch,
+                                 capsys)
+        assert code == 0
+        # the source of example1 is read in its w-form
+        assert threads == {"kernel": {threading.main_thread()}, "source": set(),
+                           "source_w": {threading.main_thread()},
+                           "eigh": {threading.main_thread()}}
+        assert len(numeric) == 2 and threading.main_thread() in numeric
+
+    @pytest.mark.parametrize("two, flags, workers", [
+        (True, ["--n-min", "4", "--n-max", "16"], 1),
+        (False, ["--n-min", "4", "--n-max", "16"], 0),
+        (True, ["--n-min", "4", "--n-max", "4"], 0),
+    ])
+    def test_one_worker_per_sweep_of_two_or_more_degrees(self, two, flags, workers, tmp_path,
+                                                         monkeypatch, capsys):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(cli.threading, "Thread", Recorded)
+        self.converge([*flags, "--eval-points", "11"], two, tmp_path, monkeypatch, capsys)
+        assert len(started) == workers
+
+    def test_a_failing_worker_degree_fails_its_row_and_leaves_no_thread(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        solve_assembly, threads = cli._solve_assembly, {}
+
+        def numeric_part(ctx):
+            threads[ctx.n] = threading.current_thread()
+            if ctx.n == 8:
+                raise jacobi_core.NumericalError("boom")
+            return solve_assembly(ctx)
+
+        monkeypatch.setattr(cli, "_solve_assembly", numeric_part)
+        before = threading.active_count()
+        code, _, err, csv = self.converge(["--n-min", "4", "--n-max", "16", "--eval-points",
+                                           "11"], True, tmp_path, monkeypatch, capsys)
+        assert threading.active_count() == before
+        assert threads[8] is not threading.main_thread()
+        assert code == 0 and err == "warning: N=8 failed: NumericalError: boom\n"
+        assert csv.decode().splitlines()[2] == "8,,,,,"
+
+    @pytest.mark.parametrize("worker_degree", [True, False])
+    def test_an_escaping_exception_joins_the_worker_first(self, worker_degree, tmp_path,
+                                                          monkeypatch, capsys):
+        # an exception that is not an Exception ends the sweep, from either thread
+        class Stop(BaseException):
+            pass
+
+        solve_assembly = cli._solve_assembly
+
+        def numeric_part(ctx):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == worker_degree and ctx.n == (8 if worker_degree else 12):
+                raise Stop
+            return solve_assembly(ctx)
+
+        monkeypatch.setattr(cli, "_solve_assembly", numeric_part)
+        before = threading.active_count()
+        with pytest.raises(Stop):
+            self.converge(["--n-min", "4", "--n-max", "16", "--eval-points", "11"], True,
+                          tmp_path, monkeypatch, capsys)
+        assert threading.active_count() == before
 
 
 class TestSelftestCommand:

@@ -30,8 +30,14 @@ differed in `peak_rss_mib` on custom-expr by 0.34% in all ten pairs, with
 quartiles 0.1% apart: a shift that small says more about the tree than
 about the code. It also prints whether each
 tree's sources had cached bytecode when the runs began (`setup_s` includes
-compiling them when not), and the `tools/output_digests.py` entries that
-differ between the two trees.
+compiling them when not), and warns when the two trees' directories have
+different names: large-n `peak_rss_mib` moved by up to 11% with the
+directory name alone, so an RSS verdict needs equal names. Last it runs
+`tools/output_digests.py` on both trees twice, once with
+OPENBLAS_NUM_THREADS=1 and once with the BLAS thread variables unset, since
+the threaded paths (the row pass, converge's sweep) run only under the first
+and the threaded LU of the second moves CSV digits, and prints per setting
+how many entries are equal and which differ.
 
 It writes only what the two `bench/run.py` runs write (their `bench_out/`)
 and changes no file under `bench/`.
@@ -40,6 +46,7 @@ and changes no file under `bench/`.
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -52,6 +59,10 @@ ENV_KEYS = ("usable_cores", "blas_threads")  # what a gain from threads depends 
 MIN_PAIRS = 10  # fewer pairs report their numbers but claim nothing
 WIN_SHARE = 0.9  # pairs the better side must win for a claim
 MIN_SHIFT = 0.01  # smallest relative move of the median that can be claimed
+# Where numpy's OpenBLAS reads its thread count, and the settings digested.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+BLAS_SETTINGS = {"OPENBLAS_NUM_THREADS=1": {"OPENBLAS_NUM_THREADS": "1"},
+                 "BLAS thread variables unset": {}}
 
 
 def parse_args(argv):
@@ -129,12 +140,35 @@ def bytecode_cached(tree: Path) -> bool:
     return True
 
 
-def digests(change: Path, checkout: Path) -> dict:
-    """{name: digest} from the change's `tools/output_digests.py` on checkout."""
+def digests(change: Path, checkout: Path, blas: dict) -> dict:
+    """{name: digest} from the change's `tools/output_digests.py` on checkout,
+    run with the BLAS_VARS of the environment replaced by `blas`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS} | blas
     proc = subprocess.run([sys.executable, str(change / "tools" / "output_digests.py"),
                            str(checkout)], capture_output=True, text=True, check=True,
-                          timeout=3600)
+                          timeout=3600, env=env)
     return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def report_digests(trees):
+    """Per BLAS_SETTINGS entry, how many digests of the two trees are equal
+    and each one that differs."""
+    for setting, blas in BLAS_SETTINGS.items():
+        theirs = digests(trees["change"], trees["parent"], blas)
+        ours = digests(trees["change"], trees["change"], blas)
+        differ = [name for name in ours if theirs.get(name) != ours[name]]
+        print(f"\ndigests with {setting}: {len(ours) - len(differ)} of {len(ours)} equal")
+        for name in differ:
+            print(f"differs: {name} parent {theirs.get(name)} change {ours[name]}")
+
+
+def report_tree_names(trees):
+    """Warn when the two trees' directories have different names."""
+    names = {side: tree.name for side, tree in trees.items()}
+    if names["parent"] != names["change"]:
+        print(f"warning: the trees' directories are named {names['parent']!r} and "
+              f"{names['change']!r}; peak_rss_mib moved by up to 11% with the directory "
+              "name alone, so compare trees in directories of the same name")
 
 
 def report_environment(runs):
@@ -188,6 +222,7 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         cached = "cached" if bytecode_cached(tree) else "not cached"
         print(f"{side}: {tree} (bytecode {cached} before the runs)")
+    report_tree_names(trees)
 
     for workload in workloads:
         runs = {"parent": [], "change": []}
@@ -197,12 +232,7 @@ def main(argv=None) -> int:
                 runs[side].append(bench_run(trees[side], workload, args.seconds, args.seed))
         report_workload(workload, runs, config)
 
-    theirs = digests(trees["change"], trees["parent"])
-    ours = digests(trees["change"], trees["change"])
-    differ = [name for name in ours if theirs.get(name) != ours[name]]
-    print(f"\ndigests: {len(ours) - len(differ)} of {len(ours)} equal")
-    for name in differ:
-        print(f"differs: {name} parent {theirs.get(name)} change {ours[name]}")
+    report_digests(trees)
     return 0
 
 
