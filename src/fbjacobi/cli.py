@@ -12,9 +12,7 @@ import argparse
 import ast
 import math
 import os
-import queue
 import sys
-import threading
 import types
 
 import numpy as np
@@ -285,47 +283,39 @@ def _sweep(problem, spec, l2_spec, args, ns) -> list:
     """`_measure`'s (diagnostics, outcome) of each degree of ns, in the order
     of ns.
 
-    The calling thread prepares the degrees from the largest down. With
-    `volterra_solver._two_threads()` and two or more degrees, it hands the
-    largest through a one-slot queue to one worker thread, measures the next
-    itself, and so on alternately; else it measures each one in turn. The
-    calling thread, which also prepares, thus measures the smaller half: a
-    warm bench sweep (N = 16..128) took 0.86 of its one-thread time, against
-    0.93 with the calling thread measuring the largest. The problem is read
-    and every rule built on the calling thread: with both threads building
+    The calling thread prepares the degrees from the largest down, so the
+    problem is read and every rule built there: with both threads building
     rules, the eigh workspaces in the worker's malloc arena raised a
-    converge op's peak RSS from 50.7 to 59.0 MiB. Each degree's numbers do
-    not depend on the thread that computed them. The worker is joined before
-    this returns, also when the calling thread raises, and an exception that
-    escaped a worker's degree is raised here.
+    converge op's peak RSS from 50.7 to 59.0 MiB. With two or more degrees
+    and `volterra_solver._two_threads()`, every other degree, the largest
+    first, is measured by a `ThreadPoolExecutor(1)` worker and the rest by
+    the calling thread, which thus measures the smaller half (a warm bench
+    sweep, N = 16..128, took 0.86 of its one-thread time, against 0.93 the
+    other way round). As with a one-slot queue, a degree is submitted only
+    once the worker has finished the one before its previous one, so at most
+    one `_Assembly` waits while the worker measures another. (Waiting for
+    the previous one left the calling thread idle: the bench converge op
+    took 1.04 to 1.07 times as long as with a one-slot queue.) The worker is
+    joined before this returns. An exception of the calling thread's wins;
+    else one that escaped a worker's degree is raised here. Each degree's
+    numbers do not depend on the thread that computed them.
     """
-    results, errors, worker = [None] * len(ns), [], None
-    if len(ns) > 1 and volterra_solver._two_threads():
-        jobs = queue.Queue(maxsize=1)
-
-        def work():
-            while (job := jobs.get()) is not None:
-                if not errors:
-                    try:
-                        results[job[0]] = _measure(problem, l2_spec, args, *job[1:])
-                    except BaseException as exc:  # re-raised on the calling thread
-                        errors.append(exc)
-
-        worker = threading.Thread(target=work)
-        worker.start()
-    try:
-        for k, i in enumerate(reversed(range(len(ns)))):
-            ctx, rule = _prepare(problem, spec, l2_spec, ns[i])
-            if worker is not None and k % 2 == 0:
-                jobs.put((i, ctx, rule))
-            else:
+    results = [None] * len(ns)
+    degrees = ((i, *_prepare(problem, spec, l2_spec, ns[i])) for i in reversed(range(len(ns))))
+    if len(ns) < 2 or not volterra_solver._two_threads():
+        for i, ctx, rule in degrees:
+            results[i] = _measure(problem, l2_spec, args, ctx, rule)
+        return results
+    from concurrent.futures import ThreadPoolExecutor, wait  # loads logging: not at import
+    with ThreadPoolExecutor(1) as pool:
+        for k, (i, ctx, rule) in enumerate(degrees):
+            if k % 2:
                 results[i] = _measure(problem, l2_spec, args, ctx, rule)
-    finally:
-        if worker is not None:
-            jobs.put(None)
-            worker.join()
-    if errors:
-        raise errors[0]
+            else:  # the worker's degrees are i + 2 and, before it, i + 4
+                wait(results[i + 4:i + 5])
+                results[i] = pool.submit(_measure, problem, l2_spec, args, ctx, rule)
+    for i in range(len(ns) - 1, -1, -2):
+        results[i] = results[i].result()
     return results
 
 

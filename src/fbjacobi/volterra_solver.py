@@ -16,19 +16,17 @@ block from N = 256): the block's points and one rank-2 matrix product
 and the nodes into a reused buffer, their reciprocals replace them, and two
 matrix-vector products per row give the barycentric denominators and the
 row. Small systems thus pay per block, not per row, for numpy's call
-overhead. One-row blocks are shared, interleaved by index, between the
-calling thread and one worker thread when the BLAS runs one thread and the
-process may use two CPUs; each thread runs the same pass on its own
-buffers, so the rows are the same floats either way. A row with a point
-exactly on a node (an infinite reciprocal) is rebuilt through
-`approximation.cardinal_matrix`, after the pass and on the calling thread.
+overhead. One-row blocks are shared, interleaved by index, with one
+executor worker thread when `_two_threads()`; the rows are the same floats
+either way. A row with a point exactly on a node (an infinite reciprocal)
+is rebuilt through `approximation.cardinal_matrix`, after the pass and on
+the calling thread.
 The dense system is solved and its 1-norm condition number computed with
 LAPACK through numpy.
 """
 
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -117,7 +115,8 @@ class SolveDiagnostics:
 class CollocationSolution:
     """The result of `solve`: nodal values u_i at the collocation nodes t_i,
     the barycentric interpolant through them (calling the solution evaluates
-    it at t), and the solve's diagnostics."""
+    it at t), and the solve's diagnostics. `nodes_t` and `values` are the
+    interpolant's own read-only arrays."""
 
     nodes_t: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -202,14 +201,14 @@ def _assemble_from(ctx: _Assembly) -> np.ndarray:
     `_row_pass` writes the rows in blocks whose gaps fill at most 2**17
     entries (1 MiB), or one row where a row alone has more: from N = 256 a
     block is one row, and more rows per block would only add memory (16-row
-    blocks were slower at N = 384). One-row blocks are shared, interleaved
-    by index, between the calling thread and one worker thread when there
-    are two or more and `_two_threads()`; multi-row blocks stay on the
-    calling thread (with a second thread they took 0.98 to 2.7 times their
-    serial time at N = 32 to 200). Each thread runs the same arithmetic on
-    its own buffers, so the rows are the same floats on one thread or two.
-    The worker is joined before this returns, also when the caller's rows
-    raise, and an exception of the worker's is raised here.
+    blocks were slower at N = 384). With two or more one-row blocks and
+    `_two_threads()`, a `ThreadPoolExecutor(1)` worker takes the odd rows
+    and the calling thread the even ones, each on its own buffer, so the
+    rows are the same floats on one thread or two; multi-row blocks stay on
+    the calling thread (with a second thread they took 0.98 to 2.7 times
+    their serial time at N = 32 to 200). The worker is joined before this
+    returns. An exception of the calling thread's wins; else the worker's is
+    raised here.
     An exact zero gap makes a row's s non-finite; only such a row is
     rebuilt, after the pass and on the calling thread, as its identity row
     minus the weights times `cardinal_matrix`, which gives a point on a node
@@ -220,22 +219,11 @@ def _assemble_from(ctx: _Assembly) -> np.ndarray:
     rows = min(n + 1, max(1, 2**17 // (n + 1) ** 2))
     starts, buf = range(0, n + 1, rows), np.empty((rows, n + 1, n + 1))
     if rows == 1 and n > 0 and _two_threads():
-        errors, worker_buf = [], np.empty_like(buf)
-
-        def work():
-            try:
-                _row_pass(ctx, mat, s, starts[1::2], worker_buf)
-            except BaseException as exc:  # re-raised on the calling thread
-                errors.append(exc)
-
-        worker = threading.Thread(target=work)
-        worker.start()
-        try:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
+        with ThreadPoolExecutor(1) as pool:
+            odd = pool.submit(_row_pass, ctx, mat, s, starts[1::2], np.empty_like(buf))
             _row_pass(ctx, mat, s, starts[::2], buf)
-        finally:
-            worker.join()
-            if errors:
-                raise errors[0]
+        odd.result()
     else:
         _row_pass(ctx, mat, s, starts, buf)
     for i in np.flatnonzero(~np.isfinite(s).all(axis=1)):
@@ -353,4 +341,4 @@ def _solve_assembly(ctx: _Assembly) -> CollocationSolution:
         near_singular=not (cond <= 1e12),
     )
     ip = Interpolant(ctx.spec, ctx.nodes_z, ctx.nodes_t, values, ctx.bary)
-    return CollocationSolution(ctx.nodes_t, values, ip, diag)
+    return CollocationSolution(ip.nodes_t, ip.values, ip, diag)

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 import types
 import warnings
 import xml.etree.ElementTree as ET
@@ -372,6 +373,9 @@ class TestConvergeSweep:
         "nan-exact": ["--problem", "custom", "--kernel-expr", "1.0", "--source-expr", "1.0",
                       "--exact-expr", "math.nan", "--n-min", "4", "--n-max", "8",
                       "--eval-points", "11"],
+        # one-row blocks: each sweep thread's solve shares its rows with a worker
+        "nested": ["--problem", "case1", "--n-min", "256", "--n-max", "264", "--n-step", "8",
+                   "--eval-points", "11"],
     }
 
     @staticmethod
@@ -461,7 +465,7 @@ class TestConvergeSweep:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(cli.threading, "Thread", Recorded)
+        monkeypatch.setattr(threading, "Thread", Recorded)
         self.converge([*flags, "--eval-points", "11"], two, tmp_path, monkeypatch, capsys)
         assert len(started) == workers
 
@@ -484,7 +488,30 @@ class TestConvergeSweep:
         assert code == 0 and err == "warning: N=8 failed: NumericalError: boom\n"
         assert csv.decode().splitlines()[2] == "8,,,,,"
 
-    @pytest.mark.parametrize("worker_degree", [True, False])
+    def test_at_most_one_degree_waits_for_the_worker(self, tmp_path, monkeypatch, capsys):
+        # a slow worker: unbounded, its six degrees would all be prepared at once
+        prepare, measure, pending, most = cli._prepare, cli._measure, set(), []
+
+        def prepared(problem, spec, l2_spec, n):
+            pending.add(n)
+            most.append(len(pending))
+            return prepare(problem, spec, l2_spec, n)
+
+        def measured(problem, l2_spec, args, ctx, rule):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)
+            pending.discard(ctx.n)
+            return measure(problem, l2_spec, args, ctx, rule)
+
+        monkeypatch.setattr(cli, "_prepare", prepared)
+        monkeypatch.setattr(cli, "_measure", measured)
+        code, *_ = self.converge(["--n-min", "4", "--n-max", "48", "--eval-points", "11"],
+                                 True, tmp_path, monkeypatch, capsys)
+        # the prepared degree, the one waiting and the worker's
+        assert code == 0 and max(most) <= 3 and not pending
+
+    # "both": each thread raises at its first degree, and the calling thread's wins
+    @pytest.mark.parametrize("worker_degree", [True, False, "both"])
     def test_an_escaping_exception_joins_the_worker_first(self, worker_degree, tmp_path,
                                                           monkeypatch, capsys):
         # an exception that is not an Exception ends the sweep, from either thread
@@ -496,15 +523,18 @@ class TestConvergeSweep:
         def numeric_part(ctx):
             on_worker = threading.current_thread() is not threading.main_thread()
             if on_worker == worker_degree and ctx.n == (8 if worker_degree else 12):
-                raise Stop
+                raise Stop(on_worker)
+            if worker_degree == "both" and ctx.n in (16, 12):
+                raise Stop(on_worker)
             return solve_assembly(ctx)
 
         monkeypatch.setattr(cli, "_solve_assembly", numeric_part)
         before = threading.active_count()
-        with pytest.raises(Stop):
+        with pytest.raises(Stop) as raised:
             self.converge(["--n-min", "4", "--n-max", "16", "--eval-points", "11"], True,
                           tmp_path, monkeypatch, capsys)
         assert threading.active_count() == before
+        assert raised.value.args == (worker_degree is True,)
 
 
 class TestSelftestCommand:

@@ -550,7 +550,7 @@ class TestAssemble:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(volterra_solver.threading, "Thread", Recorded)
+        monkeypatch.setattr(threading, "Thread", Recorded)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(volterra_solver, "_usable_cpus", lambda: 2)
         two = _assemble_from(ctx)
@@ -570,7 +570,7 @@ class TestAssemble:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(volterra_solver.threading, "Thread", Recorded)
+        monkeypatch.setattr(threading, "Thread", Recorded)
         monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
         _assemble_from(_Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), n))
         assert len(started) == threads
@@ -614,7 +614,8 @@ class TestAssemble:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert volterra_solver._usable_cpus() == 1
 
-    @pytest.mark.parametrize("parity", [0, 1])  # the caller's rows, the worker's
+    # the caller's rows, the worker's, or both, where the caller's error wins
+    @pytest.mark.parametrize("parity", [0, 1, "both"])
     def test_row_failure_reaches_the_caller_and_leaves_no_thread(self, parity, monkeypatch):
         class RowError(Exception):
             pass
@@ -624,7 +625,7 @@ class TestAssemble:
                 self.kbar = kbar
 
             def __getitem__(self, i):
-                if i % 2 == parity:
+                if parity == "both" or i % 2 == parity:
                     raise RowError(i)
                 return self.kbar[i]
 
@@ -632,9 +633,11 @@ class TestAssemble:
         ctx = _Assembly(case_i(0.5, 1.5, 2.5), spec_of(-0.5, -0.5, 0.5), 256)
         ctx.kbar = FailingRows(ctx.kbar)
         before = threading.active_count()
-        with pytest.raises(RowError):
+        with pytest.raises(RowError) as raised:
             _assemble_from(ctx)
         assert threading.active_count() == before
+        if parity == "both":
+            assert raised.value.args[0] % 2 == 0
 
     def test_worker_row_hit_warns_nothing_and_is_rebuilt_on_the_main_thread(self, monkeypatch):
         monkeypatch.setattr(volterra_solver, "_two_threads", lambda: True)
@@ -680,6 +683,14 @@ class TestSolve:
         _, rhs = assemble(prob, spec, n)
         w_nodes = np.exp(np.log1p(-gauss_rule(spec.params, n + 1).nodes) / spec.rho)
         assert np.array_equal(rhs, [g_w(float(w)) for w in w_nodes])
+
+    def test_solution_arrays_are_the_interpolants_read_only_arrays(self):
+        sol = solve(case_i(0.5, 1.5, 2.5), spec_of(-0.25, -0.25, 0.5), 8)
+        assert sol.nodes_t is sol.interpolant.nodes_t and sol.values is sol.interpolant.values
+        for arr in (sol.nodes_t, sol.values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[3] += 1.0
 
     def test_zero_kernel_interpolates_source(self):
         prob = ProblemDefinition(theta=0.5, kernel=lambda t, p: 0.0,

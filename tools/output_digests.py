@@ -1,15 +1,17 @@
 """Digests of a fixed corpus of CLI outputs, for byte-identity checks.
 
 Runs `fbjacobi.cli.main` in-process, each invocation in a fresh temporary
-directory, over 39 entries: the README `solve` and `converge` commands, the
+directory, over 40 entries: the README `solve` and `converge` commands, the
 benchmark's converge configurations and custom-expression seeds 0-5 (argv
 read from `bench/workloads.py`), `custom-piecewise` (a `solve` whose kernel,
 source and exact solution are scalar-only expressions, read point by point),
 case2 `solve` and `converge --svg`, a case1 `solve` at N = 384 (the
 benchmark's large-n size), `near-singular-solve` and `near-singular-converge`
 (example1 at theta = 0.7, rho = 0.3; N = 48 and N = 40, 48; cond exceeds 1e12
-and stderr carries a `warning:` line per degree), `selftest --quick` at seeds
-0-3 and the full selftest. Then it runs the first benchmark converge
+and stderr carries a `warning:` line per degree), `case1-converge-nested`
+(N = 256, 264: with two threads each sweep thread's solve shares its rows
+with a worker of its own), `selftest --quick` at seeds 0-3 and the full
+selftest. Then it runs the first benchmark converge
 configuration and `selftest --quick --seed 0` twice more and digests the
 second run, under the same name plus `-warm`: in a tree that stores its
 Gauss rules, that run reads every rule from the store, so equal digests for
@@ -79,6 +81,9 @@ def corpus(workloads):
         ("near-singular-converge", ["converge", "--problem", "example1", "--theta", "0.7",
                                     "--rho", "0.3", "--n-min", "40", "--n-max", "48",
                                     "--n-step", "8", "--eval-points", "11", "--out", "c.csv"]),
+        ("case1-converge-nested", ["converge", "--problem", "case1", "--n-min", "256",
+                                   "--n-max", "264", "--n-step", "8", "--eval-points", "101",
+                                   "--out", "c.csv"]),
     ]
     runs += [(f"selftest-quick-{seed}", ["selftest", "--quick", "--seed", str(seed)])
              for seed in range(4)]
